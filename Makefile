@@ -9,20 +9,18 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Small-size engine benchmarks (E11, the E12 scaling sweep, the E14
-# columnar-vs-compiled A/B at ≈100k facts and the E15 portfolio-vs-fixed
-# decider race), writes BENCH_results.json.
-# JOBS caps the E12 domain sweep, e.g. `make bench-smoke JOBS=2`.
-JOBS ?= 1
+# Small-size engine benchmarks (E11, the E14 columnar-vs-compiled A/B
+# at ≈100k facts and the E15 portfolio-vs-fixed decider comparison),
+# writes BENCH_results.json.
 bench-smoke:
-	dune exec bench/main.exe -- --json --smoke --jobs $(JOBS) E11 E12 E14 E15
+	dune exec bench/main.exe -- --json --smoke E11 E14 E15
 
 # Differential fuzzing across the engine matrix (DESIGN.md §8); exits
 # nonzero with a shrunk repro on any cross-engine discrepancy, e.g.
-# `make fuzz CASES=1000 JOBS=4`.
+# `make fuzz CASES=1000`.
 CASES ?= 500
 fuzz:
-	dune exec bin/chasectl.exe -- fuzz --cases $(CASES) --seed 42 --jobs $(JOBS)
+	dune exec bin/chasectl.exe -- fuzz --cases $(CASES) --seed 42
 
 # Golden-transcript conversation through `chasectl serve` over stdio
 # (docs/SERVICE.md).  wall_ms is the only nondeterministic reply field;

@@ -1,13 +1,12 @@
 (* The benchmark harness: regenerates every experiment of EXPERIMENTS.md
-   (E1–E12, E14).  The paper is a theory paper with no measured tables; these
+   (E1–E11, E14, E15; E12 is retired, see EXPERIMENTS.md).  The paper is a theory paper with no measured tables; these
    experiments check its qualitative claims and measure the implemented
    systems.  Run with
 
      dune exec bench/main.exe                        (all experiments)
      dune exec bench/main.exe -- E6 E8               (a selection)
      dune exec bench/main.exe -- --json --smoke E11  (small sizes; also
-                                   write BENCH_results.json)
-     dune exec bench/main.exe -- --jobs 4 E12        (cap the E12 sweep) *)
+                                   write BENCH_results.json) *)
 
 open Chase_core
 open Chase_engine
@@ -17,14 +16,7 @@ open Bench_util
    (used by `make bench-smoke` as a CI-sized sanity pass). *)
 let smoke = ref false
 
-(* --jobs N: cap for the E12 domain sweep (0 = pick by mode: 2 under
-   --smoke, 8 otherwise).  Every other experiment stays sequential, so
-   their numbers remain comparable across trajectory entries. *)
-let max_jobs = ref 0
-
-let e12_max_jobs () = if !max_jobs > 0 then !max_jobs else if !smoke then 2 else 8
-
-(* Bit-identical derivations: the cross-check E12 and E14 assert before
+(* Bit-identical derivations: the cross-check E14 asserts before
    timing anything — the A/B rows below compare equal work or nothing. *)
 let same_derivation d1 d2 =
   Derivation.status d1 = Derivation.status d2
@@ -751,162 +743,16 @@ let e11 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* E12: multicore scaling over the lib/exec domain pool.  Two workload  *)
-(* families: the E11 skewed-hub mappings (parallel activity scan in the *)
-(* restricted chase) and growing random sticky sets (parallel Büchi     *)
-(* frontier expansion in the decider).  Parallel runs are bit-identical *)
-(* to sequential — same derivations, verdicts and state counts; that is *)
-(* asserted below and property-tested in test/suite_parallel_exec.ml —  *)
-(* so the sweep measures wall-clock only.  Speedup is relative to the   *)
-(* jobs=1 run of the same binary; on a single-core container every row  *)
-(* degrades to pool overhead (see EXPERIMENTS.md E12 for the caveat).   *)
-(* ------------------------------------------------------------------ *)
-
-let e12 () =
-  let module Exec = Chase_exec.Pool in
-  let mj = e12_max_jobs () in
-  let sweep =
-    let base = List.filter (fun j -> j <= mj) [ 1; 2; 4; 8 ] in
-    if List.mem mj base then base else base @ [ mj ]
-  in
-  let quota = if !smoke then 0.1 else 0.25 in
-  (* 12a: restricted chase on the skewed-hub mappings — the E11 families
-     with the widest trigger queues, i.e. the most activity checks per
-     winning pop for the speculative scan to overlap. *)
-  let st scenario =
-    let s = scenario in
-    (s.Chase_workload.St_mapping.name, s.Chase_workload.St_mapping.tgds,
-     s.Chase_workload.St_mapping.database)
-  in
-  let chase_families =
-    if !smoke then
-      [
-        st (Chase_workload.St_mapping.hub_propagation ~n:60 ~pad:240);
-        st (Chase_workload.St_mapping.hub_exchange ~n:50 ~pad:400);
-      ]
-    else
-      [
-        st (Chase_workload.St_mapping.hub_propagation ~n:2000 ~pad:8000);
-        st (Chase_workload.St_mapping.hub_exchange ~n:1500 ~pad:12000);
-      ]
-  in
-  let chase_rows =
-    List.concat_map
-      (fun (name, tgds, db) ->
-        let run pool () = Restricted.run ~max_steps:200_000 ~pool tgds db in
-        let base = run Exec.inline () in
-        let steps = Derivation.length base in
-        let base_ns = ref nan in
-        List.map
-          (fun j ->
-            Exec.with_pool ~jobs:j @@ fun pool ->
-            assert (same_derivation base (run pool ()));
-            let ns = measure_ns ~quota (Printf.sprintf "%s/jobs=%d" name j) (run pool) in
-            if j = 1 then base_ns := ns;
-            let speedup = !base_ns /. ns in
-            record "E12"
-              [
-                ("family", Str ("chase/" ^ name));
-                ("jobs", Int j);
-                ("chase_steps", Int steps);
-                ("ns", Num ns);
-                ("steps_per_s", Num (float_of_int steps /. (ns /. 1e9)));
-                ("speedup_vs_jobs1", Num speedup);
-              ];
-            [
-              "chase " ^ name;
-              string_of_int j;
-              string_of_int steps;
-              pretty_ns ns;
-              Printf.sprintf "%.2fx" speedup;
-            ])
-          sweep)
-      chase_families
-  in
-  (* 12b: Büchi-heavy sticky decides — E6b's random scaling family at
-     its largest sizes, where decision time is dominated by the product
-     automaton exploration that the pool parallelizes level by level. *)
-  let sticky_sets =
-    let set n =
-      ( Printf.sprintf "random-sticky-%d" n,
-        Chase_workload.Tgd_gen.sticky_set
-          {
-            Chase_workload.Tgd_gen.default with
-            Chase_workload.Tgd_gen.seed = 7 * n;
-            tgds = n;
-            predicates = 1 + (n / 2);
-            max_arity = 2;
-          } )
-    in
-    if !smoke then [ set 6 ] else [ set 10; set 12 ]
-  in
-  let sticky_rows =
-    List.concat_map
-      (fun (name, tgds) ->
-        let stats pool = Chase_termination.Sticky_decider.decide_with_stats ~pool tgds in
-        let tag (s : Chase_termination.Sticky_decider.stats) =
-          match s.Chase_termination.Sticky_decider.decision with
-          | Chase_termination.Sticky_decider.All_terminating -> "terminating"
-          | Chase_termination.Sticky_decider.Non_terminating _ -> "diverging"
-          | Chase_termination.Sticky_decider.Inconclusive _ -> "inconclusive"
-        in
-        let base = stats Exec.inline in
-        let base_ns = ref nan in
-        List.map
-          (fun j ->
-            Exec.with_pool ~jobs:j @@ fun pool ->
-            let s = stats pool in
-            assert (
-              tag s = tag base
-              && s.Chase_termination.Sticky_decider.explored_states
-                 = base.Chase_termination.Sticky_decider.explored_states);
-            let ns =
-              measure_ns ~quota
-                (Printf.sprintf "%s/jobs=%d" name j)
-                (fun () -> Chase_termination.Sticky_decider.decide ~pool tgds)
-            in
-            if j = 1 then base_ns := ns;
-            let speedup = !base_ns /. ns in
-            record "E12"
-              [
-                ("family", Str ("buchi/" ^ name));
-                ("jobs", Int j);
-                ("states", Int base.Chase_termination.Sticky_decider.explored_states);
-                ("ns", Num ns);
-                ("speedup_vs_jobs1", Num speedup);
-              ];
-            [
-              "büchi " ^ name;
-              string_of_int j;
-              string_of_int base.Chase_termination.Sticky_decider.explored_states;
-              pretty_ns ns;
-              Printf.sprintf "%.2fx" speedup;
-            ])
-          sweep)
-      sticky_sets
-  in
-  table
-    ~title:
-      (Printf.sprintf
-         "E12  multicore scaling, 1..%d domains (recommended_domain_count here: %d); \
-          parallel runs bit-identical to sequential"
-         mj
-         (Domain.recommended_domain_count ()))
-    ~header:[ "workload"; "jobs"; "steps/states"; "time"; "speedup vs jobs=1" ]
-    (chase_rows @ sticky_rows)
-
-(* ------------------------------------------------------------------ *)
 (* E14: the columnar interned store vs the hash-indexed Minstance at    *)
 (* 10M facts (≈100k under --smoke).  One skewed-hub scenario where the  *)
 (* database dwarfs the derivation: hub_propagation's chase runs exactly *)
 (* n existential-free steps over 3n+pad+1 facts, so the row measures    *)
 (* store traversal and probe cost, not trigger scheduling.  Both        *)
-(* backends are asserted bit-identical before timing (and columnar      *)
-(* again at jobs=2 against jobs=1), mirroring the lib/check oracle's    *)
-(* backend/jobs-agreement invariants at benchmark scale.  One-shot      *)
-(* timings: bechamel sampling would re-run a multi-second chase dozens  *)
-(* of times for no extra digit.  The headline is the pair (wall-time    *)
-(* multiple, allocation multiple) of compiled over columnar.            *)
+(* backends are asserted bit-identical before timing, mirroring the     *)
+(* lib/check oracle's backend-agreement invariant at benchmark scale.   *)
+(* One-shot timings: bechamel sampling would re-run a multi-second      *)
+(* chase dozens of times for no extra digit.  The headline is the pair  *)
+(* (wall-time multiple, allocation multiple) of compiled over columnar. *)
 (* ------------------------------------------------------------------ *)
 
 let e14 () =
@@ -915,7 +761,7 @@ let e14 () =
   let tgds = s.Chase_workload.St_mapping.tgds in
   let db = s.Chase_workload.St_mapping.database in
   let facts = s.Chase_workload.St_mapping.facts in
-  let run ?pool backend () = Restricted.run ~backend ?pool ~max_steps:200_000 tgds db in
+  let run backend () = Restricted.run ~backend ~max_steps:200_000 tgds db in
   (* compact before each measured run: without it the second backend
      pays major-GC slices marking and sweeping the first one's garbage,
      which skews a one-shot A/B by tens of percent at 10M facts *)
@@ -928,10 +774,6 @@ let e14 () =
   assert (Derivation.terminated d_comp);
   assert (Derivation.length d_comp = n - 1);
   assert (same_derivation d_comp d_col);
-  (* jobs-agreement at scale: the parallel speculative activity scan
-     over the frozen columnar store must not change the derivation. *)
-  Chase_exec.Pool.with_pool ~jobs:2 (fun pool ->
-      assert (same_derivation d_col (run ~pool `Columnar ())));
   let steps = Derivation.length d_col in
   let alloc d = d.Bench_util.minor_words +. d.Bench_util.promoted_words in
   let wall_multiple = comp_ns /. col_ns in
@@ -957,13 +799,12 @@ let e14 () =
       ("wall_multiple", Num wall_multiple);
       ("alloc_multiple", Num alloc_multiple);
       ("bit_identical", Bool true);
-      ("jobs_checked", Int 2);
     ];
   table
     ~title:
       (Printf.sprintf
          "E14  columnar interned store vs hash-indexed instance, %d facts (derivations \
-          bit-identical, columnar re-checked at jobs=2)"
+          bit-identical)"
          facts)
     ~header:[ "backend"; "steps"; "time"; "steps/s"; "alloc words"; "major GCs" ]
     [
@@ -995,9 +836,9 @@ let e14 () =
 
 (* ------------------------------------------------------------------ *)
 (* E15: the portfolio front-end vs fixed dispatch across the gallery:  *)
-(* which procedure wins per dispatch class, and what the race costs    *)
-(* (or saves) in wall time.  Sequential portfolio — the racers run in  *)
-(* priority order with cooperative cancellation, so the numbers are    *)
+(* which procedure wins per dispatch class, and what the cascade costs *)
+(* (or saves) in wall time.  The procedures run in priority order and  *)
+(* the first conclusive answer ends the cascade, so the winners are    *)
 (* deterministic and comparable across hosts.                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1036,7 +877,7 @@ let e15 () =
             ("fixed_answer", Str (answer fixed.D.answer));
             ("portfolio_winner", Str winner);
             ("portfolio_answer", Str (answer port.D.answer));
-            ("racers", Int (List.length port.D.procedures));
+            ("procedures", Int (List.length port.D.procedures));
             ("fixed_ns", Num fixed_ns);
             ("portfolio_ns", Num port_ns);
           ];
@@ -1052,12 +893,12 @@ let e15 () =
         ])
       cases
   in
-  table ~title:"E15a  portfolio vs fixed dispatch across the gallery (sequential race)"
+  table ~title:"E15a  portfolio cascade vs fixed dispatch across the gallery"
     ~header:
       [ "scenario"; "fixed method"; "answer"; "fixed time"; "winner"; "portfolio time";
-        "port/fixed"; "racers" ]
+        "port/fixed"; "procedures" ]
     rows;
-  (* win rates per dispatch class: how often the raced winner differs
+  (* win rates per dispatch class: how often the cascade's winner differs
      from the statically chosen procedure *)
   let rows =
     Hashtbl.fold (fun k n acc -> (k, n) :: acc) wins []
@@ -1071,14 +912,14 @@ let e15 () =
              ];
            [ fixed_m; winner; string_of_int n ])
   in
-  table ~title:"E15b  win counts: fixed dispatch class vs raced winner"
+  table ~title:"E15b  win counts: fixed dispatch class vs cascade winner"
     ~header:[ "fixed method"; "portfolio winner"; "wins" ]
     rows
 
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
-    ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E14", e14);
+    ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E14", e14);
     ("E15", e15);
   ]
 
@@ -1112,14 +953,6 @@ let () =
     | "--smoke" :: rest ->
         smoke := true;
         parse rest
-    | "--jobs" :: n :: rest ->
-        max_jobs := int_of_string n;
-        parse rest
-    | arg :: rest when String.starts_with ~prefix:"--jobs=" arg ->
-        max_jobs :=
-          int_of_string (String.sub arg (String.length "--jobs=")
-                           (String.length arg - String.length "--jobs="));
-        parse rest
     | arg :: rest when String.starts_with ~prefix:"--" arg ->
         Printf.eprintf "unknown flag %s\n" arg;
         parse rest
@@ -1130,12 +963,11 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let names = List.rev !names in
   let selected = match names with [] -> List.map fst experiments | _ -> names in
-  (* The environment row makes the trajectory file self-describing: which
-     jobs cap the E12 sweep used, and how many cores the host admits. *)
+  (* The environment row makes the trajectory file self-describing: how
+     many cores the host admits, and whether sizes were shrunk. *)
   if !json then
     record "env"
       [
-        ("jobs", Int (e12_max_jobs ()));
         ("recommended_domain_count", Int (Domain.recommended_domain_count ()));
         ("smoke", Bool !smoke);
       ];

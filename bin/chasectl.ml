@@ -110,20 +110,6 @@ let backend_arg =
            int columns, for large databases) or $(b,naive) (generic search, the oracle).  \
            All three produce bit-identical derivations.")
 
-(* --- parallelism ------------------------------------------------------ *)
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Run on $(docv) domains (default 1 = sequential).  Parallel runs produce \
-           bit-identical derivations and verdicts; only wall-clock changes.")
-
-(* The pool is created inside the obs scope so its pool.* signals reach
-   the --stats/--trace-json sinks, and always torn down. *)
-let with_jobs jobs f = Chase_exec.Pool.with_pool ~jobs f
-
 (* --- classify -------------------------------------------------------- *)
 
 let classify_cmd =
@@ -158,12 +144,11 @@ let max_steps_arg =
 let trace_arg = Arg.(value & flag & info [ "trace" ] ~doc:"Print the derivation trace.")
 
 let chase_cmd =
-  let run file engine backend strategy seed max_steps trace stats trace_json jobs =
+  let run file engine backend strategy seed max_steps trace stats trace_json =
     let p = or_die (load file) in
     let tgds = Chase_parser.Program.tgds p in
     let db = Chase_parser.Program.database p in
     with_obs ~stats ~trace_json @@ fun () ->
-    with_jobs jobs @@ fun pool ->
     match engine with
     | `Restricted ->
         let strategy =
@@ -172,7 +157,7 @@ let chase_cmd =
           | `Lifo -> Chase_engine.Restricted.Lifo
           | `Random -> Chase_engine.Restricted.Random seed
         in
-        let d = Chase_engine.Restricted.run ~backend ~strategy ~max_steps ~pool tgds db in
+        let d = Chase_engine.Restricted.run ~backend ~strategy ~max_steps tgds db in
         if trace then Format.printf "%a@." Chase_engine.Derivation.pp d
         else begin
           Format.printf "%a@." Chase_core.Instance.pp (Chase_engine.Derivation.final d);
@@ -196,21 +181,20 @@ let chase_cmd =
   Cmd.v (Cmd.info "chase" ~doc:"Run a chase engine on the program's database.")
     Term.(
       const run $ file_arg $ engine_arg $ backend_arg $ strategy_arg $ seed_arg $ max_steps_arg
-      $ trace_arg $ stats_arg $ trace_json_arg $ jobs_arg)
+      $ trace_arg $ stats_arg $ trace_json_arg)
 
 (* --- decide ---------------------------------------------------------- *)
 
 let decide_cmd =
-  let run file portfolio max_states max_depth json stats trace_json jobs =
+  let run file portfolio max_states max_depth json stats trace_json =
     let p = or_die (load file) in
     let open Chase_termination.Decider in
     let report =
       with_obs ~stats ~trace_json @@ fun () ->
-      with_jobs jobs @@ fun pool ->
       let tgds = Chase_parser.Program.tgds p in
       if portfolio then
-        decide_portfolio ?sticky_max_states:max_states ?guarded_max_depth:max_depth ~pool tgds
-      else decide ?sticky_max_states:max_states ?guarded_max_depth:max_depth ~pool tgds
+        decide_portfolio ?sticky_max_states:max_states ?guarded_max_depth:max_depth tgds
+      else decide ?sticky_max_states:max_states ?guarded_max_depth:max_depth tgds
     in
     let answer_str = function
       | Terminating -> "terminating"
@@ -260,8 +244,9 @@ let decide_cmd =
       value & flag
       & info [ "portfolio" ]
           ~doc:
-            "Race every procedure valid for the classified class (weak/joint acyclicity, MFA, \
-             sticky B\xC3\xBCchi, guarded search); first conclusive answer wins.")
+            "Run every procedure valid for the classified class in priority order (weak/joint \
+             acyclicity, MFA, sticky B\xC3\xBCchi, guarded search); the first conclusive \
+             answer wins.")
   in
   let max_states_arg =
     Arg.(
@@ -287,7 +272,7 @@ let decide_cmd =
           non-terminating, 3 = unknown).")
     Term.(
       const run $ file_arg $ portfolio_arg $ max_states_arg $ max_depth_arg $ json_arg
-      $ stats_arg $ trace_json_arg $ jobs_arg)
+      $ stats_arg $ trace_json_arg)
 
 (* --- query ----------------------------------------------------------- *)
 
@@ -321,7 +306,7 @@ let query_cmd =
 (* --- automaton ------------------------------------------------------- *)
 
 let automaton_cmd =
-  let run file stats trace_json jobs =
+  let run file stats trace_json =
     let p = or_die (load file) in
     let tgds = Chase_parser.Program.tgds p in
     (match Chase_classes.Stickiness.is_sticky tgds with
@@ -330,7 +315,6 @@ let automaton_cmd =
         exit 2
     | true -> ());
     with_obs ~stats ~trace_json @@ fun () ->
-    with_jobs jobs @@ fun pool ->
     let ctx = Chase_termination.Sticky_automaton.make_context tgds in
     let comps = Chase_termination.Sticky_automaton.components ctx in
     Format.printf "alphabet: %d letters, components: %d@."
@@ -339,13 +323,12 @@ let automaton_cmd =
     List.iter
       (fun ((e, cls), a) ->
         (* one pass per component: emptiness and anatomy together *)
-        let verdict, s = Chase_automata.Buchi.emptiness_with_stats ~pool a in
+        let verdict, s = Chase_automata.Buchi.emptiness_with_stats a in
         let verdict =
           match verdict with
           | Chase_automata.Buchi.Empty -> "empty"
           | Chase_automata.Buchi.Nonempty _ -> "NONEMPTY"
           | Chase_automata.Buchi.Budget_exceeded _ -> "budget"
-          | Chase_automata.Buchi.Cancelled _ -> "cancelled"
         in
         Format.printf "  (e=%s, Π=class %d): %d states, %d transitions — %s@."
           (Chase_core.Equality_type.to_string e)
@@ -353,7 +336,7 @@ let automaton_cmd =
       comps
   in
   Cmd.v (Cmd.info "automaton" ~doc:"Anatomy of the sticky Büchi automaton A_T.")
-    Term.(const run $ file_arg $ stats_arg $ trace_json_arg $ jobs_arg)
+    Term.(const run $ file_arg $ stats_arg $ trace_json_arg)
 
 (* --- ochase ---------------------------------------------------------- *)
 
@@ -458,8 +441,7 @@ let msol_cmd =
 (* --- fuzz ------------------------------------------------------------ *)
 
 let fuzz_cmd =
-  let run cases seed profiles backends portfolio jobs no_shrink corpus_dir json stats trace_json
-      =
+  let run cases seed profiles backends portfolio no_shrink corpus_dir json stats trace_json =
     let profiles =
       match profiles with
       | [] -> Chase_check.Profile.all
@@ -474,7 +456,6 @@ let fuzz_cmd =
         Chase_check.Harness.cases;
         seed;
         profiles;
-        jobs;
         shrink = not no_shrink;
         corpus_dir;
         backends;
@@ -482,8 +463,7 @@ let fuzz_cmd =
       }
     in
     let report =
-      with_obs ~stats ~trace_json @@ fun () ->
-      with_jobs jobs @@ fun pool -> Chase_check.Harness.run ~pool config
+      with_obs ~stats ~trace_json @@ fun () -> Chase_check.Harness.run config
     in
     if json then print_endline (Chase_check.Harness.json report)
     else begin
@@ -554,13 +534,12 @@ let fuzz_cmd =
           any discrepancy).")
     Term.(
       const run $ cases_arg $ seed_arg $ profile_arg $ fuzz_backend_arg $ portfolio_arg
-      $ jobs_arg $ no_shrink_arg $ corpus_arg $ json_arg $ stats_arg $ trace_json_arg)
+      $ no_shrink_arg $ corpus_arg $ json_arg $ stats_arg $ trace_json_arg)
 
 (* --- serve ----------------------------------------------------------- *)
 
 let serve_cmd =
-  let run socket tcp max_sessions max_steps max_facts max_wall_ms backend stats trace_json jobs
-      =
+  let run socket tcp max_sessions max_steps max_facts max_wall_ms backend stats trace_json =
     let defaults =
       {
         Chase_serve.Session.max_steps;
@@ -569,9 +548,7 @@ let serve_cmd =
       }
     in
     with_obs ~stats ~trace_json @@ fun () ->
-    with_jobs jobs @@ fun epool ->
-    let server =
-      Chase_serve.Server.create ~epool { Chase_serve.Server.max_sessions; defaults; backend }
+    let server = Chase_serve.Server.create { Chase_serve.Server.max_sessions; defaults; backend }
     in
     match (socket, tcp) with
     | Some _, Some _ -> or_die (Error "serve: pass at most one of --socket and --tcp")
@@ -640,7 +617,7 @@ let serve_cmd =
           JSON-lines protocol (docs/SERVICE.md).")
     Term.(
       const run $ socket_arg $ tcp_arg $ max_sessions_arg $ max_steps_arg $ max_facts_arg
-      $ max_wall_ms_arg $ serve_backend_arg $ stats_arg $ trace_json_arg $ jobs_arg)
+      $ max_wall_ms_arg $ serve_backend_arg $ stats_arg $ trace_json_arg)
 
 (* --- scenarios ------------------------------------------------------- *)
 

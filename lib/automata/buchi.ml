@@ -11,9 +11,6 @@
    the initial state; a witness is a *lasso* — a finite prefix word and a
    non-empty cycle word that can be pumped forever. *)
 
-module Exec = Chase_exec.Pool
-module Cancel = Chase_exec.Cancel
-
 type ('s, 'a) t = {
   initial : 's;
   alphabet : 'a array;
@@ -33,7 +30,6 @@ type 'a emptiness =
   | Empty
   | Nonempty of 'a lasso
   | Budget_exceeded of int  (* states explored when the budget ran out *)
-  | Cancelled of int  (* states explored when the cancel token fired *)
 
 type stats = { states : int; transitions : int; pruned : int }
 
@@ -52,8 +48,8 @@ let with_subsumption ~key ~subsumes a = { a with subsumption = Some (key, subsum
 let default_max_states = 200_000
 
 (* Exploration result: the reachable graph, or the point where the
-   budget or a cancellation stopped it.  Counts travel alongside so a
-   single pass yields both the graph and its stats. *)
+   budget stopped it.  Counts travel alongside so a single pass yields
+   both the graph and its stats. *)
 type 's graph = {
   g_states : (int, 's) Hashtbl.t;
   g_edges : (int, (int * int) list) Hashtbl.t;  (* src -> (letter, dst) *)
@@ -65,20 +61,8 @@ type 's graph = {
 type 's exploration =
   | Complete of 's graph
   | Truncated of stats  (* state budget exhausted *)
-  | Interrupted of stats  (* cancel token fired *)
 
-(* Explore the reachable graph.
-
-   With a parallel pool the BFS is level-synchronized: the queue is
-   drained into a frontier snapshot, every (state, letter) successor of
-   the level is computed across domains ([next] must be pure — the
-   sticky automaton's is), and the results are merged on the
-   coordinating domain in exactly the sequential visit order (frontier
-   order × alphabet order), replaying the same [register] calls, the
-   same pruning decisions and the same budget stop.  State numbering,
-   edge lists, the explored count and the Budget_exceeded point are
-   therefore bit-identical to the sequential exploration; speculative
-   successors computed past a budget stop are simply discarded.
+(* Explore the reachable graph breadth-first.
 
    With [prune] and a subsumption structure on the automaton, a
    candidate state subsumed by an already-registered state of the same
@@ -86,8 +70,7 @@ type 's exploration =
    state (never dropped — dropping would hide accepting cycles).  See
    DESIGN.md §10 for why Empty verdicts on the pruned graph are sound
    and Nonempty witnesses must be re-validated. *)
-let explore ?(max_states = default_max_states) ?(pool = Exec.inline)
-    ?(cancel = Cancel.none) ?(prune = false) a =
+let explore ?(max_states = default_max_states) ?(prune = false) a =
   let index : (string, int) Hashtbl.t = Hashtbl.create 1024 in
   let states : (int, 's) Hashtbl.t = Hashtbl.create 1024 in
   let edges : (int, (int * int) list) Hashtbl.t = Hashtbl.create 1024 in
@@ -131,16 +114,16 @@ let explore ?(max_states = default_max_states) ?(pool = Exec.inline)
   in
   ignore (register a.initial (a.state_key a.initial));
   let over = ref false in
-  (* Merge one source state's successor images in alphabet order,
-     mirroring the sequential inner loop byte for byte.  Images are lazy
-     so the sequential path still skips [next] calls after a budget
-     stop; the parallel path passes pre-forced values. *)
-  let merge_outs i images =
+  (* Visit states in registration order, each one's letters in alphabet
+     order; no further [next] call is made once the budget stops. *)
+  while (not (Queue.is_empty queue)) && not !over do
+    let i = Queue.pop queue in
+    let s = Hashtbl.find states i in
     let outs = ref [] in
     Array.iteri
-      (fun li image ->
+      (fun li letter ->
         if not !over then
-          match Lazy.force image with
+          match a.next s letter with
           | None -> ()
           | Some s' -> (
               let key = a.state_key s' in
@@ -167,38 +150,11 @@ let explore ?(max_states = default_max_states) ?(pool = Exec.inline)
                         let j = register s' key in
                         outs := (li, j) :: !outs
                       end)))
-      images;
+      a.alphabet;
     Hashtbl.replace edges i !outs
-  in
-  let interrupted = ref false in
-  if not (Exec.is_parallel pool) then
-    while (not (Queue.is_empty queue)) && (not !over) && not !interrupted do
-      if Cancel.cancelled cancel then interrupted := true
-      else begin
-        let i = Queue.pop queue in
-        let s = Hashtbl.find states i in
-        merge_outs i (Array.map (fun letter -> lazy (a.next s letter)) a.alphabet)
-      end
-    done
-  else
-    while (not (Queue.is_empty queue)) && (not !over) && not !interrupted do
-      if Cancel.cancelled cancel then interrupted := true
-      else begin
-        let frontier = Array.of_seq (Queue.to_seq queue) in
-        Queue.clear queue;
-        let images =
-          Exec.map_array pool
-            (fun i ->
-              let s = Hashtbl.find states i in
-              Array.map (fun letter -> Lazy.from_val (a.next s letter)) a.alphabet)
-            frontier
-        in
-        Array.iteri (fun fi i -> if not !over then merge_outs i images.(fi)) frontier
-      end
-    done;
+  done;
   let counts = { states = !count; transitions = !transitions; pruned = !pruned } in
-  if !interrupted then Interrupted counts
-  else if !over then Truncated counts
+  if !over then Truncated counts
   else
     Complete
       {
@@ -392,11 +348,10 @@ let analyse a g =
    Empty verdict is sound as-is; a Nonempty witness may ride redirected
    edges, so it is validated against the real transition function and,
    when invalid, the search reruns without pruning (DESIGN.md §10). *)
-let rec emptiness_with_stats ?max_states ?pool ?cancel ?(prune = false) a =
+let rec emptiness_with_stats ?max_states ?(prune = false) a =
   Obs.span "buchi.emptiness" @@ fun () ->
-  match explore ?max_states ?pool ?cancel ~prune a with
+  match explore ?max_states ~prune a with
   | Truncated c -> (Budget_exceeded c.states, c)
-  | Interrupted c -> (Cancelled c.states, c)
   | Complete g -> (
       let counts = { states = g.g_count; transitions = g.g_transitions; pruned = g.g_pruned } in
       match analyse a g with
@@ -404,26 +359,24 @@ let rec emptiness_with_stats ?max_states ?pool ?cancel ?(prune = false) a =
           (* The witness used redirected edges and is not a real run:
              fall back to the exact graph. *)
           Obs.incr "buchi.prune.fallback";
-          emptiness_with_stats ?max_states ?pool ?cancel ~prune:false a
+          emptiness_with_stats ?max_states ~prune:false a
       | verdict -> (verdict, counts))
 
-let emptiness ?max_states ?pool ?cancel ?prune a =
-  fst (emptiness_with_stats ?max_states ?pool ?cancel ?prune a)
+let emptiness ?max_states ?prune a = fst (emptiness_with_stats ?max_states ?prune a)
 
-let is_empty_opt ?max_states ?pool a =
-  match emptiness ?max_states ?pool a with
+let is_empty_opt ?max_states a =
+  match emptiness ?max_states a with
   | Empty -> Some true
   | Nonempty _ -> Some false
-  | Budget_exceeded _ | Cancelled _ -> None
+  | Budget_exceeded _ -> None
 
-let is_empty ?max_states ?pool a =
-  match emptiness ?max_states ?pool a with
+let is_empty ?max_states a =
+  match emptiness ?max_states a with
   | Empty -> true
   | Nonempty _ -> false
   | Budget_exceeded n -> invalid_arg (Printf.sprintf "Buchi.is_empty: budget at %d states" n)
-  | Cancelled n -> invalid_arg (Printf.sprintf "Buchi.is_empty: cancelled at %d states" n)
 
-let stats ?max_states ?pool ?(prune = false) a =
-  match explore ?max_states ?pool ~prune a with
-  | Truncated c | Interrupted c -> c
+let stats ?max_states ?(prune = false) a =
+  match explore ?max_states ~prune a with
+  | Truncated c -> c
   | Complete g -> { states = g.g_count; transitions = g.g_transitions; pruned = g.g_pruned }

@@ -12,7 +12,6 @@ type 'a emptiness =
   | Empty
   | Nonempty of 'a lasso
   | Budget_exceeded of int  (** states explored when the budget ran out *)
-  | Cancelled of int  (** states explored when the cancel token fired *)
 
 type stats = {
   states : int;
@@ -44,56 +43,31 @@ val default_max_states : int
 (** Decide L(A) = ∅ and report exploration stats from the same single
     pass over the reachable graph.
 
-    [pool] (default: inline) parallelizes the state-space exploration
-    with a level-synchronized BFS whose discoveries are merged in the
-    sequential visit order — the reachable state set, its numbering and
-    the budget behaviour are bit-identical to the sequential search.
-    Supplying a parallel pool requires [next] to be pure (no shared
-    mutable state), since it then runs on worker domains.
-
-    [cancel] (default: {!Chase_exec.Cancel.none}) is polled between
-    frontier expansions; a fired token yields [Cancelled].
-
     [prune] (default: [false]) enables subsumption pruning when the
     automaton carries a {!with_subsumption} structure: a candidate state
     subsumed by a registered state of the same group is not explored and
     its incoming edge is redirected to the subsumer.  An [Empty] verdict
     on the pruned graph is sound; a [Nonempty] witness is re-validated
     with {!accepts_lasso} and, if it rode redirected edges, the search
-    transparently reruns unpruned.  Pruning decisions replay identically
-    across pool sizes, so results stay deterministic. *)
-val emptiness_with_stats :
-  ?max_states:int ->
-  ?pool:Chase_exec.Pool.t ->
-  ?cancel:Chase_exec.Cancel.t ->
-  ?prune:bool ->
-  ('s, 'a) t ->
-  'a emptiness * stats
+    transparently reruns unpruned. *)
+val emptiness_with_stats : ?max_states:int -> ?prune:bool -> ('s, 'a) t -> 'a emptiness * stats
 
 (** [fst] of {!emptiness_with_stats}; a [Nonempty] answer carries a
     lasso witness. *)
-val emptiness :
-  ?max_states:int ->
-  ?pool:Chase_exec.Pool.t ->
-  ?cancel:Chase_exec.Cancel.t ->
-  ?prune:bool ->
-  ('s, 'a) t ->
-  'a emptiness
+val emptiness : ?max_states:int -> ?prune:bool -> ('s, 'a) t -> 'a emptiness
 
 (** Budget-total emptiness: [None] when the verdict is [Budget_exceeded]
-    (or [Cancelled]) rather than an exception.  Prefer this anywhere a
-    budget overrun must degrade to "unknown" instead of escaping. *)
-val is_empty_opt : ?max_states:int -> ?pool:Chase_exec.Pool.t -> ('s, 'a) t -> bool option
+    rather than an exception.  Prefer this anywhere a budget overrun
+    must degrade to "unknown" instead of escaping. *)
+val is_empty_opt : ?max_states:int -> ('s, 'a) t -> bool option
 
 (** @raise Invalid_argument when the state budget is exceeded (use
     {!is_empty_opt} or {!emptiness} where budgets are expected). *)
-val is_empty : ?max_states:int -> ?pool:Chase_exec.Pool.t -> ('s, 'a) t -> bool
+val is_empty : ?max_states:int -> ('s, 'a) t -> bool
 
-(** Size of the reachable automaton (same [pool] contract as
-    {!emptiness_with_stats}); on budget overrun, the counts at the stop
-    point. *)
-val stats :
-  ?max_states:int -> ?pool:Chase_exec.Pool.t -> ?prune:bool -> ('s, 'a) t -> stats
+(** Size of the reachable automaton; on budget overrun, the counts at
+    the stop point. *)
+val stats : ?max_states:int -> ?prune:bool -> ('s, 'a) t -> stats
 
 (** Validate a lasso witness by running the automaton over it. *)
 val accepts_lasso : ('s, 'a) t -> 'a lasso -> bool

@@ -52,7 +52,7 @@ let load_dir dir =
   |> List.sort String.compare
   |> List.map (fun f -> load (Filename.concat dir f))
 
-let replay ?pool entry =
+let replay entry =
   let name = Filename.basename entry.path in
   match entry.expectation with
   | Parse_error -> (
@@ -70,7 +70,7 @@ let replay ?pool entry =
       | program -> (
           let tgds = Chase_parser.Program.tgds program in
           let db = Chase_parser.Program.database program in
-          match Oracle.check ?pool tgds db with
+          match Oracle.check tgds db with
           | [] -> Ok ()
           | ds ->
               Error

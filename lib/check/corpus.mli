@@ -32,4 +32,4 @@ val load_dir : string -> entry list
 (** Replay one entry against its expectation; [Error] describes the
     regression.  Oracle crashes (including assertion failures) are
     caught and reported, never propagated. *)
-val replay : ?pool:Chase_exec.Pool.t -> entry -> (unit, string) result
+val replay : entry -> (unit, string) result

@@ -1,9 +1,6 @@
 (* The fuzzing loop: deterministic in (seed, cases, profiles); case i
    draws profile i mod |profiles| with a per-case seed mixed from the
-   master seed, so two runs with the same flags explore the same cases
-   regardless of jobs (the pool only parallelizes inside the engines,
-   which are jobs-invariant — that invariance is itself one of the
-   oracle's checks). *)
+   master seed, so two runs with the same flags explore the same cases. *)
 
 open Chase_core
 
@@ -11,7 +8,6 @@ type config = {
   cases : int;
   seed : int;
   profiles : Profile.t list;
-  jobs : int;
   shrink : bool;
   corpus_dir : string option;
   backends : Chase_engine.Store.backend list;
@@ -23,7 +19,6 @@ let default_config =
     cases = 200;
     seed = 42;
     profiles = Profile.all;
-    jobs = 1;
     shrink = true;
     corpus_dir = None;
     backends = Oracle.all_store_backends;
@@ -46,7 +41,7 @@ type report = { config : config; ran : int; failures : failure list }
    mixing is irrelevant, only determinism and spread matter. *)
 let case_seed master i = (master * 1_000_003) + (i * 7919)
 
-let run_case ~pool ~config ~index profile =
+let run_case ~config ~index profile =
   let seed = case_seed config.seed index in
   Obs.incr "check.cases";
   match Gen.generate ~profile ~seed with
@@ -68,7 +63,7 @@ let run_case ~pool ~config ~index profile =
           written = None;
         }
   | case -> (
-      match Oracle.check ~pool ~backends:config.backends ~portfolio:config.portfolio case.Gen.tgds case.Gen.database with
+      match Oracle.check ~backends:config.backends ~portfolio:config.portfolio case.Gen.tgds case.Gen.database with
       | [] -> None
       | discrepancies ->
           Obs.count "check.discrepancies" (List.length discrepancies);
@@ -81,7 +76,7 @@ let run_case ~pool ~config ~index profile =
             else
               Shrink.minimize
                 ~fails:(fun ts db ->
-                  match Oracle.check ~pool ~backends:config.backends ~portfolio:config.portfolio ts db with
+                  match Oracle.check ~backends:config.backends ~portfolio:config.portfolio ts db with
                   | ds -> List.exists (fun d -> List.mem d.Oracle.invariant invariants) ds
                   | exception _ -> false)
                 case.Gen.tgds case.Gen.database
@@ -103,22 +98,17 @@ let run_case ~pool ~config ~index profile =
           in
           Some { case_seed = seed; profile; discrepancies; tgds; database; repro; written })
 
-let run_with_pool pool config =
+let run config =
   let profiles = if config.profiles = [] then Profile.all else config.profiles in
   let n = List.length profiles in
   let failures = ref [] in
   for i = 0 to config.cases - 1 do
     let profile = List.nth profiles (i mod n) in
-    match run_case ~pool ~config ~index:i profile with
+    match run_case ~config ~index:i profile with
     | None -> ()
     | Some f -> failures := f :: !failures
   done;
   { config; ran = config.cases; failures = List.rev !failures }
-
-let run ?pool config =
-  match pool with
-  | Some pool -> run_with_pool pool config
-  | None -> Chase_exec.Pool.with_pool ~jobs:config.jobs (fun pool -> run_with_pool pool config)
 
 let summary r =
   if r.failures = [] then
@@ -138,8 +128,8 @@ let json r =
   let esc = Obs.Jsonl.escape in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"cases\": %d, \"seed\": %d, \"jobs\": %d, \"profiles\": [%s], " r.ran
-       r.config.seed r.config.jobs
+    (Printf.sprintf "{\"cases\": %d, \"seed\": %d, \"profiles\": [%s], " r.ran
+       r.config.seed
        (String.concat ", "
           (List.map (fun p -> "\"" ^ esc (Profile.name p) ^ "\"") r.config.profiles)));
   Buffer.add_string buf

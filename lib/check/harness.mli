@@ -12,7 +12,6 @@ type config = {
   cases : int;
   seed : int;
   profiles : Profile.t list;
-  jobs : int;  (** pool size when [run] creates its own pool *)
   shrink : bool;
   corpus_dir : string option;  (** write shrunk repros here *)
   backends : Chase_engine.Store.backend list;
@@ -41,10 +40,8 @@ type report = {
   failures : failure list;
 }
 
-(** Run the loop.  [pool] overrides pool creation (the CLI passes the
-    pool living inside its observability scope); otherwise a pool of
-    [config.jobs] domains is created for the duration. *)
-val run : ?pool:Chase_exec.Pool.t -> config -> report
+(** Run the loop. *)
+val run : config -> report
 
 (** One human line per case outcome is printed by the CLI, not here;
     [summary] is the final one-paragraph verdict. *)

@@ -99,7 +99,7 @@ let check_stop_relation ~what tgds d =
         end)
       (List.mapi (fun k s -> (k, s)) steps)
 
-let check_restricted ~pool ~budgets ~backends tgds db =
+let check_restricted ~budgets ~backends tgds db =
   let max_steps = budgets.restricted_steps in
   List.concat_map
     (fun strategy ->
@@ -122,22 +122,6 @@ let check_restricted ~pool ~budgets ~backends tgds db =
               d_naive d)
           store_runs
       in
-      let jobs =
-        if not (Chase_exec.Pool.is_parallel pool) then []
-        else
-          List.concat_map
-            (fun (backend, d_seq) ->
-              let d_par =
-                Restricted.run ~backend ~strategy ~max_steps ~naming:`Canonical ~pool tgds db
-              in
-              compare_derivations ~invariant:"jobs-agreement"
-                ~what:
-                  (Printf.sprintf "restricted/%s/%s jobs=1-vs-jobs=%d" sname
-                     (Restricted.backend_name backend)
-                     (Chase_exec.Pool.jobs pool))
-                d_seq d_par)
-            store_runs
-      in
       let valid =
         List.concat_map
           (fun (backend, d) ->
@@ -153,7 +137,7 @@ let check_restricted ~pool ~budgets ~backends tgds db =
         else fail "model" "restricted/%s terminated on a non-model" sname
       in
       let stop = check_stop_relation ~what:(Printf.sprintf "restricted/%s" sname) tgds d_naive in
-      agree @ jobs @ valid @ model @ stop)
+      agree @ valid @ model @ stop)
     strategies
 
 let check_oblivious ~budgets ~backends tgds db =
@@ -230,11 +214,11 @@ let check_ochase ~budgets tgds db =
    of budget.  The split is by atom index modulo k over the instance's
    canonical atom order, so the interleaving is reproducible from the
    case alone. *)
-let check_incremental ~pool ~budgets ~backends tgds db =
+let check_incremental ~budgets ~backends tgds db =
   guarded "incremental" @@ fun () ->
   let max_steps = budgets.restricted_steps in
   let scratch =
-    Restricted.run ~strategy:Restricted.Fifo ~max_steps ~naming:`Canonical ~pool tgds db
+    Restricted.run ~strategy:Restricted.Fifo ~max_steps ~naming:`Canonical tgds db
   in
   if Derivation.status scratch <> Derivation.Terminated then []
   else
@@ -248,7 +232,7 @@ let check_incremental ~pool ~budgets ~backends tgds db =
         for i = 0 to k - 1 do
           if not !exhausted then begin
             ignore (Incremental.assert_atoms s (batch i));
-            let o = Incremental.chase ~epool:pool ~max_steps s in
+            let o = Incremental.chase ~max_steps s in
             if not o.Incremental.saturated then exhausted := true
           end
         done;
@@ -275,8 +259,8 @@ let check_incremental ~pool ~budgets ~backends tgds db =
           model @ equiv)
       (List.concat_map (fun b -> [ (2, b); (3, b) ]) backends)
 
-let check_decider ~pool ~budgets ?(portfolio = false) tgds db =
-  match Chase_termination.Decider.decide ~pool tgds with
+let check_decider ~budgets ?(portfolio = false) tgds db =
+  match Chase_termination.Decider.decide tgds with
   | exception e -> fail "decider-crash" "Decider.decide raised %s" (Printexc.to_string e)
   | report ->
       let open Chase_termination.Decider in
@@ -319,11 +303,11 @@ let check_decider ~pool ~budgets ?(portfolio = false) tgds db =
         if not portfolio then []
         else
           guarded "decider-portfolio" @@ fun () ->
-          match decide_portfolio ~prune:true ~pool tgds with
+          match decide_portfolio ~prune:true tgds with
           | exception e ->
               fail "decider-crash" "Decider.decide_portfolio raised %s" (Printexc.to_string e)
           | p ->
-              (* The portfolio races a superset of the fixed dispatch's
+              (* The portfolio runs a superset of the fixed dispatch's
                  procedures under the same budgets, so a conclusive
                  fixed answer must survive: same answer, or a conclusive
                  portfolio answer where the fixed one was Unknown. *)
@@ -361,8 +345,8 @@ let check_decider ~pool ~budgets ?(portfolio = false) tgds db =
               | Chase_termination.Sticky_decider.Non_terminating _ -> "non-terminating"
               | Chase_termination.Sticky_decider.Inconclusive _ -> "inconclusive"
             in
-            let exact = Chase_termination.Sticky_decider.decide ~pool tgds in
-            let pruned = Chase_termination.Sticky_decider.decide ~pool ~prune:true tgds in
+            let exact = Chase_termination.Sticky_decider.decide tgds in
+            let pruned = Chase_termination.Sticky_decider.decide ~prune:true tgds in
             if String.equal (verdict_name exact) (verdict_name pruned) then []
             else
               fail "sticky-prune" "subsumption pruning changed the sticky verdict: %s vs %s"
@@ -373,11 +357,11 @@ let check_decider ~pool ~budgets ?(portfolio = false) tgds db =
 
 let all_store_backends : Store.backend list = [ `Compiled; `Columnar ]
 
-let check ?(pool = Chase_exec.Pool.inline) ?(budgets = default_budgets)
-    ?(backends = all_store_backends) ?(portfolio = false) tgds db =
-  check_restricted ~pool ~budgets ~backends tgds db
+let check ?(budgets = default_budgets) ?(backends = all_store_backends) ?(portfolio = false)
+    tgds db =
+  check_restricted ~budgets ~backends tgds db
   @ check_oblivious ~budgets ~backends tgds db
   @ check_universality ~budgets tgds db
   @ check_ochase ~budgets tgds db
-  @ check_incremental ~pool ~budgets ~backends tgds db
-  @ check_decider ~pool ~budgets ~portfolio tgds db
+  @ check_incremental ~budgets ~backends tgds db
+  @ check_decider ~budgets ~portfolio tgds db

@@ -12,8 +12,6 @@
       instance) for every strategy; same triple for the oblivious
       variants.  The naive run is the reference; each store backend in
       [backends] (default: compiled and columnar) is compared to it.
-    - [jobs-agreement] — a parallel pool run equals the sequential one,
-      on both the compiled and the columnar backend.
     - [derivation-valid] — every step applied an active trigger to the
       previous instance ([Derivation.validate]).
     - [model] — a terminated restricted run's final instance is a model
@@ -40,7 +38,7 @@
       divergence evidence from the exhaustive derivation search (only
       attempted on small cases, with a depth budget well beyond the
       observed derivation lengths; fixed and portfolio reports alike).
-    - [decider-portfolio] — ([portfolio] mode) the raced portfolio must
+    - [decider-portfolio] — ([portfolio] mode) the portfolio cascade must
       agree with the fixed dispatch: never the opposite conclusive
       answer, and never inconclusive where the fixed dispatch — whose
       procedures the portfolio supersets under the same budgets — was
@@ -68,15 +66,12 @@ val pp_discrepancy : Format.formatter -> discrepancy -> unit
 (** Every store backend, for callers threading a checked set around. *)
 val all_store_backends : Chase_engine.Store.backend list
 
-(** Run the full matrix.  [pool] (default: inline) additionally checks
-    parallel-vs-sequential agreement when it is an actual pool.
-    [backends] (default: {!all_store_backends}) selects the store
-    backends compared against the naive reference — restricted,
-    oblivious, jobs-agreement and incremental sections all honour it.
+(** Run the full matrix.  [backends] (default: {!all_store_backends})
+    selects the store backends compared against the naive reference —
+    restricted, oblivious and incremental sections all honour it.
     [portfolio] (default: [false]) adds the portfolio-vs-fixed decider
     cross-exam and the subsumption-pruning cross-check. *)
 val check :
-  ?pool:Chase_exec.Pool.t ->
   ?budgets:budgets ->
   ?backends:Chase_engine.Store.backend list ->
   ?portfolio:bool ->

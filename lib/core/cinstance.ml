@@ -142,7 +142,7 @@ type rel = {
   mutable base_perm : int array array;  (* per position: rows [0, base_n) sorted by cell id *)
   index : Ptbl.t array;  (* per position: term id -> rows >= base_n *)
   rowset : Imap.t;  (* id-tuple hash -> candidate rows *)
-  scratch : int array;  (* per-add id buffer; mutation is single-domain *)
+  scratch : int array;  (* per-add id buffer *)
 }
 
 type t = {

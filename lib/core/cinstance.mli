@@ -19,11 +19,8 @@
     The interner's reverse lookup rebuilds real atoms only at the
     edges: snapshots, [with_pred]/[with_pos_term] views, and hom emit.
 
-    {b Concurrency.}  Reads never mutate (in particular they never
-    intern: a term the store has not seen occurs in no row), so the
-    parallel speculative activity scan may probe a frozen store from
-    many domains, exactly as with {!Minstance}.  All mutation
-    ({!add}) is single-domain, like every engine's. *)
+    Reads never mutate (in particular they never intern: a term the
+    store has not seen occurs in no row). *)
 
 type t
 

@@ -22,8 +22,7 @@ val create : ?size_hint:int -> unit -> t
 val intern : t -> Term.t -> int
 
 (** [find t term] is the id of [term], or [-1] when it was never
-    interned.  Read-only, so safe to call concurrently with other
-    reads (the parallel activity scan relies on this). *)
+    interned.  Read-only. *)
 val find : t -> Term.t -> int
 
 val find_opt : t -> Term.t -> int option

@@ -21,7 +21,6 @@
    cannot double-introduce witnesses. *)
 
 open Chase_core
-module Exec = Chase_exec.Pool
 
 type limit = Steps | Wall | Facts
 
@@ -153,12 +152,12 @@ let retract_atoms t atoms =
 
 let default_max_steps = Restricted.default_max_steps
 
-let chase ?(epool = Exec.inline) ?(max_steps = default_max_steps) ?deadline ?max_facts t =
+let chase ?(max_steps = default_max_steps) ?deadline ?max_facts t =
   Obs.span "session.chase" @@ fun () ->
   let incremental = t.warm in
   t.chases <- t.chases + 1;
   let next_active =
-    Restricted.make_next_active ~epool ~plan_of:(plan_of t) ~src:t.store.Store.source
+    Restricted.make_next_active ~plan_of:(plan_of t) ~src:t.store.Store.source
       ~memo:t.memo t.pool
   in
   let over_deadline =

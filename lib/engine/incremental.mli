@@ -99,12 +99,10 @@ val default_max_steps : int
 
 (** Run the chase until saturation or a budget: [max_steps] per call,
     [deadline] (polled every 32 steps — wall-time admission control),
-    [max_facts] a cap on the instance cardinality.  [epool]
-    parallelizes the activity scan exactly as in [Restricted.run].
-    Resumable: a budget-stopped state continues where it left off on
-    the next call. *)
+    [max_facts] a cap on the instance cardinality.  Resumable: a
+    budget-stopped state continues where it left off on the next
+    call. *)
 val chase :
-  ?epool:Chase_exec.Pool.t ->
   ?max_steps:int ->
   ?deadline:(unit -> bool) ->
   ?max_facts:int ->

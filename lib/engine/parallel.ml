@@ -21,14 +21,11 @@
    applied (its own head atoms satisfy it) or found inactive (activity
    is monotone downwards), so each round tests exactly the candidates
    the full recomputation would have found live, and the active sets —
-   hence the rounds — are unchanged.  The per-round activity test is an
-   independent map over the candidate array, parallelized across
-   domains when a [pool] is supplied; canonical null naming (Def 3.1)
+   hence the rounds — are unchanged.  Canonical null naming (Def 3.1)
    makes the round result independent of evaluation order, and the
-   applied list is reported in [Trigger.compare] order either way. *)
+   applied list is reported in [Trigger.compare] order. *)
 
 open Chase_core
-module Exec = Chase_exec.Pool
 
 type round = { index : int; applied : Trigger.t list; after : Instance.t }
 
@@ -46,7 +43,7 @@ module TrigTbl = Hashtbl.Make (Trigger)
 (* Canonical null naming (Def 3.1) throughout: atom identities then
    persist across rounds and into {!Sequentialize}, and a trigger firing
    in two different rounds produces the same atom. *)
-let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
+let run ?(max_rounds = default_max_rounds) tgds database =
   let m = Minstance.of_instance database in
   let src = Plan.source_of_minstance m in
   let plans = List.map (fun tgd -> (tgd, Plan.of_tgd tgd)) tgds in
@@ -70,14 +67,9 @@ let run ?(max_rounds = default_max_rounds) ?(pool = Exec.inline) tgds database =
     if i >= max_rounds then
       { database; rounds = List.rev rounds; final = Minstance.snapshot m; saturated = false }
     else begin
-      let cands = Array.of_list (List.sort Trigger.compare candidates) in
-      let verdicts = Exec.map_array pool is_active cands in
-      let active = ref [] in
-      Array.iteri (fun j t -> if verdicts.(j) then active := t :: !active) cands;
-      let active = List.rev !active in
-      match active with
+      match List.filter is_active (List.sort Trigger.compare candidates) with
       | [] -> { database; rounds = List.rev rounds; final = Minstance.snapshot m; saturated = true }
-      | _ ->
+      | active ->
           (* Inactive candidates are dropped for good (monotonicity);
              applied ones satisfy their own heads from now on. *)
           discovered := [];

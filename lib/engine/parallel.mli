@@ -24,11 +24,7 @@ val default_max_rounds : int
     delta matching and dropped permanently once applied or found
     inactive (both are final by downward monotonicity of activity), so
     no round re-enumerates all triggers; each [applied] list is reported
-    in canonical [Trigger.compare] order.  [pool] (default: inline)
-    spreads the per-round activity tests across domains — the rounds
-    are identical either way, since the tests are independent reads of
-    the frozen round-start instance. *)
-val run :
-  ?max_rounds:int -> ?pool:Chase_exec.Pool.t -> Tgd.t list -> Instance.t -> result
+    in canonical [Trigger.compare] order. *)
+val run : ?max_rounds:int -> Tgd.t list -> Instance.t -> result
 val round_count : result -> int
 val applications : result -> int

@@ -185,27 +185,14 @@ let compile tgd =
 module TgdMap = Map.Make (Tgd)
 
 let cache = ref TgdMap.empty
-let cache_mutex = Mutex.create ()
-
-(* The read path is lock-free (a racy read of the immutable map at worst
-   misses a fresh entry and falls through to the locked path); compile
-   and insert are serialized so concurrent domains can never mint two
-   plans — and two [id]s, the memo key — for one TGD. *)
 let of_tgd tgd =
   match TgdMap.find_opt tgd !cache with
   | Some p -> p
   | None ->
-      Mutex.lock cache_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock cache_mutex)
-        (fun () ->
-          match TgdMap.find_opt tgd !cache with
-          | Some p -> p
-          | None ->
-              Obs.incr "plan.compile";
-              let p = compile tgd in
-              cache := TgdMap.add tgd p !cache;
-              p)
+      Obs.incr "plan.compile";
+      let p = compile tgd in
+      cache := TgdMap.add tgd p !cache;
+      p
 
 (* ------------------------------------------------------------------ *)
 (* Sources                                                             *)
@@ -336,9 +323,7 @@ let scratch p = (Array.make (max 1 p.nslots) None, Array.make (max 1 p.nslots) 0
    the scratch env holds dense term ids (-1 = unbound) and the innermost
    loop compares ints, never [Term.t] structure.  Every lookup goes
    through the read-only [Cinstance.find_id] — a term the store never
-   interned occurs in no row, so it simply kills the match.  Interning
-   on the read path is forbidden: the parallel activity scan probes a
-   frozen store from many domains. *)
+   interned occurs in no row, so it simply kills the match. *)
 
 (* A step's patterns resolved against a concrete store: [>= 0] a fixed
    term id, [<= -2] the slot [-p - 2], [-1] a fixed term the store never
@@ -612,11 +597,4 @@ module Head_memo = struct
       end
       else true
     end
-
-  (* The next two support speculative parallel scans: workers run the
-     memo-free [head_satisfied] (the memo is single-domain) and the
-     coordinator folds their verdicts back in.  Sound for the same
-     monotonicity reason as [is_active]'s cache. *)
-  let known_inactive memo p hom = KeyTbl.mem memo (p.id, frontier_image p hom)
-  let record memo p hom = KeyTbl.replace memo (p.id, frontier_image p hom) ()
 end

@@ -95,16 +95,4 @@ module Head_memo : sig
       satisfied-head cache.  Sound only while the underlying source
       grows monotonically (which chase runs guarantee). *)
   val is_active : t -> plan -> source -> Substitution.t -> bool
-
-  (** [known_inactive memo p hom]: is [hom]'s frontier image already
-      cached as satisfied?  A [false] answer decides nothing.  Used by
-      the parallel scan to skip fanning out triggers the coordinator
-      already knows are inactive. *)
-  val known_inactive : t -> plan -> Substitution.t -> bool
-
-  (** [record memo p hom] caches [hom]'s frontier image as satisfied.
-      Sound only if [head_satisfied] held on (a subset of) the current
-      source — the parallel scan uses it to fold worker verdicts back
-      into the coordinator's memo. *)
-  val record : t -> plan -> Substitution.t -> unit
 end

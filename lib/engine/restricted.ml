@@ -24,7 +24,6 @@
    is identical across backends for every strategy. *)
 
 open Chase_core
-module Exec = Chase_exec.Pool
 
 type strategy =
   | Fifo  (* oldest candidate first — yields fair derivations *)
@@ -107,128 +106,29 @@ module Pool = struct
           pool.arr.(k) <- pool.arr.(pool.len);
           Some t
         end
-
-  (* The next [k] pops in pop order, without consuming anything — the
-     speculative window of the parallel activity scan.  Fifo/Lifo just
-     read the array; Random copies the RNG and simulates its
-     swap-removes in an overlay table, so replaying the real pops
-     afterwards consumes the exact same triggers and RNG draws. *)
-  let peek_order pool k =
-    let k = min k (size pool) in
-    match pool.strategy with
-    | Fifo -> Array.init k (fun i -> pool.arr.(pool.front + i))
-    | Lifo -> Array.init k (fun i -> pool.arr.(pool.len - 1 - i))
-    | Random _ ->
-        let rng = Random.State.copy (Option.get pool.rng) in
-        let overlay = Hashtbl.create 16 in
-        let get i =
-          match Hashtbl.find_opt overlay i with Some t -> t | None -> pool.arr.(i)
-        in
-        let len = ref pool.len in
-        Array.init k (fun _ ->
-            let j = Random.State.int rng !len in
-            let t = get j in
-            decr len;
-            Hashtbl.replace overlay j (get !len);
-            t)
 end
 
 let default_max_steps = 10_000
 
-(* [make_next_active ~epool ~plan_of ~src ~memo pool] is the activity
-   scan shared by [run_compiled] and the resumable {!Incremental}
-   state: repeated calls pop candidates until the first active one
-   (None = pool drained).  Sequentially that is one pop + memoized
-   activity test per iteration.  With a parallel [epool], a speculative
-   window of the upcoming pops ([Pool.peek_order]) is tested at once
-   against the frozen instance and the first active one {e in pop
-   order} wins; the window's real pops are then replayed so the pool
-   and RNG state match the sequential engine exactly.  The speculative
-   verdicts are final — activity is monotone downwards and the instance
-   does not grow during a scan — so the pop sequence is bit-identical
-   to sequential, and verdicts beyond the winner are folded into the
-   head memo rather than wasted.  The widening window is per-closure
-   state: create one scanner per run (or per resumed chase call). *)
-let make_next_active ~epool ~plan_of ~src ~memo pool =
+(* [make_next_active ~plan_of ~src ~memo pool] is the activity scan
+   shared by [run_store] and the resumable {!Incremental} state:
+   repeated calls pop candidates until the first active one (None =
+   pool drained), testing activity through the shared head memo. *)
+let make_next_active ~plan_of ~src ~memo pool =
   let is_active trigger =
     Plan.Head_memo.is_active memo (plan_of (Trigger.tgd trigger)) src (Trigger.hom trigger)
   in
-  let next_active_seq () =
-    let rec go () =
-      match Pool.pop pool with
-      | None -> None
-      | Some trigger ->
-          if is_active trigger then Some trigger
-          else begin
-            Obs.incr "restricted.inactive";
-            go ()
-          end
-    in
-    go ()
-  in
-  if not (Exec.is_parallel epool) then next_active_seq
-  else begin
-    let base_window = 2 * Exec.jobs epool in
-    let window = ref base_window in
-    let head_satisfied t =
-      Plan.head_satisfied (plan_of (Trigger.tgd t)) src (Trigger.hom t)
-    in
-    let rec go () =
-      if Pool.size pool = 0 then None
-      else begin
-        let cands = Pool.peek_order pool !window in
-        let k = Array.length cands in
-        let active = Array.make k false in
-        (* coordinator-side memo pass: only unknown triggers fan out *)
-        let unknown = ref [] in
-        Array.iteri
-          (fun i t ->
-            if
-              not
-                (Plan.Head_memo.known_inactive memo
-                   (plan_of (Trigger.tgd t))
-                   (Trigger.hom t))
-            then unknown := i :: !unknown)
-          cands;
-        let unknown = Array.of_list (List.rev !unknown) in
-        let satisfied = Exec.map_array epool (fun i -> head_satisfied cands.(i)) unknown in
-        Array.iteri
-          (fun j i ->
-            if satisfied.(j) then
-              let t = cands.(i) in
-              Plan.Head_memo.record memo (plan_of (Trigger.tgd t)) (Trigger.hom t)
-            else active.(i) <- true)
-          unknown;
-        let first = ref (-1) in
-        (try
-           for i = 0 to k - 1 do
-             if active.(i) then begin
-               first := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !first < 0 then begin
-          (* whole window inactive: consume it, widen, rescan *)
-          for _ = 1 to k do
-            ignore (Pool.pop pool);
-            Obs.incr "restricted.inactive"
-          done;
-          window := min 4096 (2 * !window);
-          go ()
-        end
+  let rec next () =
+    match Pool.pop pool with
+    | None -> None
+    | Some trigger ->
+        if is_active trigger then Some trigger
         else begin
-          for _ = 1 to !first do
-            ignore (Pool.pop pool);
-            Obs.incr "restricted.inactive"
-          done;
-          window := base_window;
-          Pool.pop pool
+          Obs.incr "restricted.inactive";
+          next ()
         end
-      end
-    in
-    go
-  end
+  in
+  next
 
 (* Observability hooks, shared by both backends (all no-ops unless a
    sink is installed; the step-event payload is only built when one is). *)
@@ -339,7 +239,7 @@ let run_naive ~strategy ~max_steps ~gen tgds database =
 (* The store-backed engine shared by the [`Compiled] and [`Columnar]
    backends: the loop is identical, only the fact store behind the
    {!Store.t} seam differs. *)
-let run_store ~backend ~strategy ~max_steps ~gen ~epool tgds database =
+let run_store ~backend ~strategy ~max_steps ~gen tgds database =
   obs_run_start ~backend:(backend :> backend) ~strategy ~max_steps database;
   let store = Store.of_instance backend database in
   let src = store.Store.source in
@@ -361,7 +261,7 @@ let run_store ~backend ~strategy ~max_steps ~gen ~epool tgds database =
     (fun (tgd, p) -> Plan.iter_homs p src (fun hom -> seed := Trigger.make tgd hom :: !seed))
     plans;
   Pool.push_batch pool !seed;
-  let next_active = make_next_active ~epool ~plan_of ~src ~memo pool in
+  let next_active = make_next_active ~plan_of ~src ~memo pool in
   let rec loop prev steps_rev n =
     if n >= max_steps then begin
       let status = drain_status pool is_active in
@@ -406,19 +306,19 @@ let run_store ~backend ~strategy ~max_steps ~gen ~epool tgds database =
   loop (Lazy.from_val database) [] 0
 
 let run ?(backend = `Compiled) ?(strategy = Fifo) ?(max_steps = default_max_steps)
-    ?(naming = `Fresh) ?gen ?(pool = Exec.inline) tgds database =
+    ?(naming = `Fresh) ?gen tgds database =
   let gen = resolve_gen naming gen in
   Obs.span "restricted.run" (fun () ->
       match backend with
       | `Naive -> run_naive ~strategy ~max_steps ~gen tgds database
       | (`Compiled | `Columnar) as b ->
-          run_store ~backend:b ~strategy ~max_steps ~gen ~epool:pool tgds database)
+          run_store ~backend:b ~strategy ~max_steps ~gen tgds database)
 
 (* Convenience: chase to completion or fail. *)
 exception Did_not_terminate of Derivation.t
 
-let run_exn ?backend ?strategy ?max_steps ?naming ?gen ?pool tgds database =
-  let d = run ?backend ?strategy ?max_steps ?naming ?gen ?pool tgds database in
+let run_exn ?backend ?strategy ?max_steps ?naming ?gen tgds database =
+  let d = run ?backend ?strategy ?max_steps ?naming ?gen tgds database in
   match Derivation.status d with
   | Terminated -> Derivation.final d
   | Out_of_budget -> raise (Did_not_terminate d)

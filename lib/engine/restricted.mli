@@ -49,15 +49,10 @@ module Pool : sig
   val pop : t -> Trigger.t option
 end
 
-(** [make_next_active ~epool ~plan_of ~src ~memo pool] returns a
-    scanner: each call pops candidates until the first {e active} one
-    ([None] = pool drained), testing activity through the shared head
-    memo.  With a parallel [epool] the upcoming pops are tested
-    speculatively across domains, preserving the sequential pop order
-    bit-for-bit (see DESIGN.md §7).  Create one scanner per run or per
-    resumed chase call — it carries per-scan window state. *)
+(** [make_next_active ~plan_of ~src ~memo pool] returns a scanner:
+    each call pops candidates until the first {e active} one ([None] =
+    pool drained), testing activity through the shared head memo. *)
 val make_next_active :
-  epool:Chase_exec.Pool.t ->
   plan_of:(Tgd.t -> Plan.t) ->
   src:Plan.source ->
   memo:Plan.Head_memo.t ->
@@ -79,23 +74,13 @@ val drain_status : Pool.t -> (Trigger.t -> bool) -> Derivation.status
     counters, a [restricted.pool] gauge, a [restricted.run] span, and
     one ["step"] event per applied trigger; the instrumentation never
     influences the derivation (property-tested in [test/suite_obs.ml]).
-    See [docs/OBSERVABILITY.md] for the full signal schema.
-
-    [pool] (default: inline) parallelizes the activity scan on the
-    store-backed backends ([`Compiled], [`Columnar]): a speculative
-    window of upcoming pops is tested
-    across domains against the frozen instance and the first active
-    trigger in pop order wins, so the derivation — triggers, order,
-    nulls, status — is {e bit-identical} to the sequential run for every
-    strategy (property-tested in [test/suite_parallel_exec.ml]; see
-    DESIGN.md §7 for the argument).  The [`Naive] backend ignores it. *)
+    See [docs/OBSERVABILITY.md] for the full signal schema. *)
 val run :
   ?backend:backend ->
   ?strategy:strategy ->
   ?max_steps:int ->
   ?naming:[ `Fresh | `Canonical ] ->
   ?gen:Term.Gen.t ->
-  ?pool:Chase_exec.Pool.t ->
   Tgd.t list ->
   Instance.t ->
   Derivation.t
@@ -110,7 +95,6 @@ val run_exn :
   ?max_steps:int ->
   ?naming:[ `Fresh | `Canonical ] ->
   ?gen:Term.Gen.t ->
-  ?pool:Chase_exec.Pool.t ->
   Tgd.t list ->
   Instance.t ->
   Instance.t

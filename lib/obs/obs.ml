@@ -1,13 +1,9 @@
-(* Per-domain observability: counters, gauges, spans, events, routed
-   through an optional sink (see obs.mli for the contract).
+(* Observability: counters, gauges, spans, events, routed through an
+   optional sink (see obs.mli for the contract).
 
    Everything funnels through [current]; with no sink installed each
-   signal is one domain-local load and one branch, so instrumentation
-   can stay in hot paths unconditionally.  Both the sink and the span
-   stack live in domain-local storage: a worker domain spawned by
-   [Chase_exec.Pool] starts with no sink, so signals emitted from
-   parallel tasks are no-ops and the (non-thread-safe) Stats/Jsonl
-   sinks only ever run on the domain that installed them. *)
+   signal is one load and one branch, so instrumentation can stay in
+   hot paths unconditionally. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -46,35 +42,26 @@ let tee a b =
         b.on_event name fields);
   }
 
-let current : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let current : sink option ref = ref None
 
-let get_current () = Domain.DLS.get current
-let set_current s = Domain.DLS.set current s
-
-let install s = set_current (Some s)
-let uninstall () = set_current None
-let enabled () = get_current () <> None
-let current_sink () = get_current ()
+let install s = current := Some s
+let uninstall () = current := None
+let enabled () = !current <> None
+let current_sink () = !current
 
 let with_current saved f =
-  let prev = get_current () in
-  set_current saved;
-  Fun.protect ~finally:(fun () -> set_current prev) f
+  let prev = !current in
+  current := saved;
+  Fun.protect ~finally:(fun () -> current := prev) f
 
 let with_sink s f = with_current (Some s) f
 let suspended f = with_current None f
 
 (* --- clock ---------------------------------------------------------- *)
 
-(* Wall clock by default.  [Sys.time] (process CPU seconds) was the
-   original default and silently skewed span durations whenever worker
-   domains burned CPU in parallel regions — every domain's CPU time
-   accrues to the process, so a [--jobs N] run could report spans longer
-   than the wall time unless each entry point remembered to install
-   [Unix.gettimeofday] itself.  Defaulting to the wall clock makes span
-   durations honest everywhere; [set_clock] still accepts any
-   monotonically increasing source (tests install a virtual one) and
-   re-anchors the origin so [now] never jumps across clock changes. *)
+(* Wall clock by default; [set_clock] accepts any monotonically
+   increasing source (tests install a virtual one) and re-anchors the
+   origin so [now] never jumps across clock changes. *)
 let clock = ref Unix.gettimeofday
 let origin = ref (Unix.gettimeofday ())
 
@@ -87,32 +74,30 @@ let now () = !clock () -. !origin
 
 (* --- signals -------------------------------------------------------- *)
 
-let incr name = match get_current () with None -> () | Some s -> s.on_counter name 1
-let count name n = match get_current () with None -> () | Some s -> s.on_counter name n
-let gauge name v = match get_current () with None -> () | Some s -> s.on_gauge name v
-let event name fields = match get_current () with None -> () | Some s -> s.on_event name fields
+let incr name = match !current with None -> () | Some s -> s.on_counter name 1
+let count name n = match !current with None -> () | Some s -> s.on_counter name n
+let gauge name v = match !current with None -> () | Some s -> s.on_gauge name v
+let event name fields = match !current with None -> () | Some s -> s.on_event name fields
 
-let stack : string list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+let stack : string list ref = ref []
 
 let span_path () =
-  match (get_current (), Domain.DLS.get stack) with
+  match (!current, !stack) with
   | None, _ | _, [] -> None
   | Some _, names -> Some (String.concat "." (List.rev names))
 
 let span name f =
-  match get_current () with
+  match !current with
   | None -> f ()
   | Some _ ->
-      Domain.DLS.set stack (name :: Domain.DLS.get stack);
-      let path = String.concat "." (List.rev (Domain.DLS.get stack)) in
+      stack := name :: !stack;
+      let path = String.concat "." (List.rev !stack) in
       let t0 = !clock () in
       Fun.protect
         ~finally:(fun () ->
           let dt = !clock () -. t0 in
-          (match Domain.DLS.get stack with
-          | _ :: rest -> Domain.DLS.set stack rest
-          | [] -> ());
-          match get_current () with None -> () | Some s -> s.on_span path dt)
+          (match !stack with _ :: rest -> stack := rest | [] -> ());
+          match !current with None -> () | Some s -> s.on_span path dt)
         f
 
 (* --- Stats sink ----------------------------------------------------- *)

@@ -1,7 +1,7 @@
 (** Zero-dependency observability substrate for the chase engines.
 
     The library publishes four kinds of signals, all routed through one
-    per-domain {!type:sink}:
+    process-wide {!type:sink}:
 
     - {b counters} — monotonic event counts ({!incr}, {!count});
     - {b gauges} — last-value measurements such as pool sizes ({!gauge});
@@ -20,18 +20,10 @@
     signal, the [--trace-json] format); {!tee} composes sinks.
 
     The module depends only on the OCaml stdlib and [unix]: the clock
-    defaults to [Unix.gettimeofday] (wall time — honest for spans that
-    cover parallel regions, where CPU time over- or under-reports), and
-    {!set_clock} installs any other monotonically increasing source,
-    re-anchoring the origin of {!now}.
-
-    {b Domains.}  The sink and the span stack are domain-local: a
-    freshly spawned domain (e.g. a [Chase_exec.Pool] worker) starts with
-    no sink, so signals it emits are no-ops.  This keeps the bundled
-    sinks — which are not thread-safe — confined to the domain that
-    installed them, and makes observation passive under [--jobs N] by
-    construction; parallel components report aggregate [pool.*] signals
-    from the coordinating domain instead. *)
+    defaults to [Unix.gettimeofday] (wall time), and {!set_clock}
+    installs any other monotonically increasing source, re-anchoring
+    the origin of {!now}.  The sink and the span stack are plain
+    global state: the library is single-threaded. *)
 
 (** Field values of structured {!event} records. *)
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -52,8 +44,7 @@ val tee : sink -> sink -> sink
 
 (** {1 Installation} *)
 
-(** Install [s] as the calling domain's sink (replacing any current
-    one).  Other domains are unaffected. *)
+(** Install [s] as the sink (replacing any current one). *)
 val install : sink -> unit
 
 (** Remove the current sink; signals become no-ops again. *)
@@ -63,7 +54,7 @@ val uninstall : unit -> unit
     building expensive event payloads when nobody is listening. *)
 val enabled : unit -> bool
 
-(** The calling domain's current sink, if any.  Lets a component compose
+(** The current sink, if any.  Lets a component compose
     its own sink with whatever is already installed ([tee]) instead of
     replacing it — the serve layer tees per-session stats sinks with the
     process-wide [--stats]/[--trace-json] sink this way. *)
@@ -82,9 +73,7 @@ val suspended : (unit -> 'a) -> 'a
 
 (** Replace the time source (seconds, monotonically increasing) and
     re-anchor the origin of {!now} at the new source's current instant.
-    The default is [Unix.gettimeofday] — wall time, correct for span
-    durations even when worker domains burn CPU in parallel ([Sys.time]
-    counts every domain's CPU and would skew them). *)
+    The default is [Unix.gettimeofday] (wall time). *)
 val set_clock : (unit -> float) -> unit
 
 (** Seconds since {!reset_clock} (or process start) per the current

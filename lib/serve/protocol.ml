@@ -26,7 +26,7 @@ type t =
   | Classify of { session : string }
   | Decide of {
       session : string;
-      portfolio : bool;  (* race all valid procedures instead of fixed dispatch *)
+      portfolio : bool;  (* cascade over all valid procedures instead of fixed dispatch *)
       max_states : int option;  (* sticky Büchi state budget, per component *)
       max_depth : int option;  (* guarded divergence-search depth budget *)
     }

@@ -31,8 +31,9 @@ type t =
   | Decide of {
       session : string;
       portfolio : bool;
-          (** race all procedures valid for the class instead of the
-              fixed dispatch (optional ["portfolio"] field) *)
+          (** run the portfolio cascade over all procedures valid for
+              the class instead of the fixed dispatch (optional
+              ["portfolio"] field) *)
       max_states : int option;
           (** sticky Büchi state budget per component (["max_states"]);
               [None] inherits the decider default *)

@@ -7,10 +7,9 @@
    reply beyond it), every chase call runs under the session's
    step/fact/wall budgets ([budget-exhausted] status or reply), and the
    decider runs with its own bounded state budgets — so no single
-   session can starve the shared [Chase_exec] pool. *)
+   session can starve the others. *)
 
 open Chase_core
-module Exec = Chase_exec.Pool
 module P = Protocol
 
 type config = {
@@ -24,11 +23,10 @@ let default_config =
 
 type t = {
   config : config;
-  epool : Exec.t;
   sessions : (string, Session.t) Hashtbl.t;
 }
 
-let create ?(epool = Exec.inline) config = { config; epool; sessions = Hashtbl.create 16 }
+let create config = { config; sessions = Hashtbl.create 16 }
 
 let session_count t = Hashtbl.length t.sessions
 
@@ -171,7 +169,7 @@ let handle_retract t ~session ~facts =
 
 let handle_chase t ~session ~max_steps =
   let s = find_session t session in
-  let r = Session.chase ~epool:t.epool ?max_steps s in
+  let r = Session.chase ?max_steps s in
   chase_fields r (Session.incremental s)
 
 let handle_query t ~session ~query =
@@ -230,9 +228,8 @@ let handle_decide t ~session ~portfolio ~max_states ~max_depth =
            return Inconclusive / No_divergence_found), never as
            exceptions escaping the session. *)
         if portfolio then
-          decide_portfolio ?sticky_max_states:max_states ?guarded_max_depth:max_depth
-            ~pool:t.epool tgds
-        else decide ?sticky_max_states:max_states ?guarded_max_depth:max_depth ~pool:t.epool tgds)
+          decide_portfolio ?sticky_max_states:max_states ?guarded_max_depth:max_depth tgds
+        else decide ?sticky_max_states:max_states ?guarded_max_depth:max_depth tgds)
   in
   let answer_str = function
     | Terminating -> "terminating"

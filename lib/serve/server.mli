@@ -16,9 +16,8 @@ val default_config : config
 
 type t
 
-(** [create ?epool config] builds an empty server.  All chase work runs
-    on [epool] (default: inline). *)
-val create : ?epool:Chase_exec.Pool.t -> config -> t
+(** [create config] builds an empty server. *)
+val create : config -> t
 
 val session_count : t -> int
 

@@ -60,7 +60,7 @@ let with_obs t f =
   let sink = match Obs.current_sink () with Some g -> Obs.tee g mine | None -> mine in
   Obs.with_sink sink f
 
-let chase ?epool ?max_steps t =
+let chase ?max_steps t =
   let max_steps =
     match max_steps with
     | None -> t.budgets.max_steps
@@ -70,7 +70,7 @@ let chase ?epool ?max_steps t =
   let deadline () = (Unix.gettimeofday () -. start) *. 1000.0 > t.budgets.max_wall_ms in
   let o =
     with_obs t (fun () ->
-        Chase_engine.Incremental.chase ?epool ~max_steps ~deadline ~max_facts:t.budgets.max_facts
+        Chase_engine.Incremental.chase ~max_steps ~deadline ~max_facts:t.budgets.max_facts
           t.inc)
   in
   let r =

@@ -52,7 +52,7 @@ val with_obs : t -> (unit -> 'a) -> 'a
 
 (** A budgeted chase call: [max_steps] (capped by the session budget),
     the session's wall deadline, and its fact cap. *)
-val chase : ?epool:Chase_exec.Pool.t -> ?max_steps:int -> t -> chase_record
+val chase : ?max_steps:int -> t -> chase_record
 
 val assert_atoms : t -> Atom.t list -> int
 val retract_atoms : t -> Atom.t list -> int

@@ -5,16 +5,14 @@
                for the substitution of the MSOL step);
      else    → weak acyclicity only (sound for "terminating").
 
-   [decide_portfolio] instead races every procedure that is sound for
+   [decide_portfolio] instead runs every procedure that is sound for
    the classified class — weak acyclicity, joint acyclicity, MFA, the
-   sticky Büchi procedure and the guarded divergence search — as
-   cooperatively-cancellable tasks, first conclusive answer wins
+   sticky Büchi procedure and the guarded divergence search — as a
+   cascade in that order, stopping at the first conclusive answer
    (DESIGN.md §10). *)
 
 open Chase_core
 open Chase_classes
-module Exec = Chase_exec.Pool
-module Cancel = Chase_exec.Cancel
 
 type answer =
   | Terminating  (* T ∈ CTres∀∀ *)
@@ -27,13 +25,13 @@ type method_used =
   | Weak_acyclicity_check  (* baseline sufficient condition *)
   | Joint_acyclicity_check  (* sufficient condition, subsumes WA *)
   | Mfa_check  (* model-faithful acyclicity, subsumes JA *)
-  | Portfolio  (* raced portfolio; no single procedure was conclusive *)
+  | Portfolio  (* portfolio cascade; no single procedure was conclusive *)
 
 type procedure_report = {
   procedure : method_used;
   outcome : answer;
   conclusive : bool;
-  cancelled : bool;  (* lost the race and was stopped (or never started) *)
+  cancelled : bool;  (* never started: an earlier procedure was conclusive *)
   wall_ms : float;
   note : string;
 }
@@ -43,7 +41,7 @@ type report = {
   answer : answer;
   method_used : method_used;
   detail : string;
-  procedures : procedure_report list;  (* per-racer outcomes; [] in fixed dispatch *)
+  procedures : procedure_report list;  (* per-procedure outcomes; [] in fixed dispatch *)
 }
 
 let method_name = function
@@ -54,7 +52,7 @@ let method_name = function
   | Mfa_check -> "mfa"
   | Portfolio -> "portfolio"
 
-let decide ?(sticky_max_states = 50_000) ?(guarded_max_depth = 200) ?pool tgds =
+let decide ?(sticky_max_states = 50_000) ?(guarded_max_depth = 200) tgds =
   let classification = Classification.classify tgds in
   (* The §5/§6 procedures assume the paper's constant-free setting; a
      set mentioning constants is answered by weak acyclicity below
@@ -64,7 +62,7 @@ let decide ?(sticky_max_states = 50_000) ?(guarded_max_depth = 200) ?pool tgds =
     constant_free && classification.Classification.single_head
     && classification.Classification.sticky
   then
-    let verdict = Sticky_decider.decide ~max_states:sticky_max_states ?pool tgds in
+    let verdict = Sticky_decider.decide ~max_states:sticky_max_states tgds in
     let answer, detail =
       match verdict with
       | Sticky_decider.All_terminating -> (Terminating, "L(A_T) = ∅")
@@ -80,7 +78,7 @@ let decide ?(sticky_max_states = 50_000) ?(guarded_max_depth = 200) ?pool tgds =
     constant_free && classification.Classification.single_head
     && classification.Classification.guarded
   then
-    let verdict = Guarded_decider.decide ~max_depth:guarded_max_depth ?pool tgds in
+    let verdict = Guarded_decider.decide ~max_depth:guarded_max_depth tgds in
     let answer, detail =
       match verdict with
       | Guarded_decider.Terminating Guarded_decider.Weakly_acyclic ->
@@ -124,9 +122,9 @@ let decide ?(sticky_max_states = 50_000) ?(guarded_max_depth = 200) ?pool tgds =
    on constant-free single-head sticky sets (both answers conclusive);
    the guarded divergence search produces validated non-termination
    certificates on constant-free single-head guarded sets (only
-   Non_terminating is conclusive).  Every racer below is only entered
-   when its validity precondition holds, so any conclusive answer is
-   correct and the first one can win the race. *)
+   Non_terminating is conclusive).  Every procedure below is only
+   entered when its validity precondition holds, so any conclusive
+   answer is correct and the cascade may stop at the first one. *)
 
 let portfolio_procedures classification ~constant_free =
   let cls_ok =
@@ -138,7 +136,7 @@ let portfolio_procedures classification ~constant_free =
   @ [ (if cls_ok && classification.Classification.guarded then Some Guarded_search else None) ]
   |> List.filter_map Fun.id
 
-let run_procedure ~cancel ~sticky_max_states ~guarded_max_depth ~prune tgds = function
+let run_procedure ~sticky_max_states ~guarded_max_depth ~prune tgds = function
   | Weak_acyclicity_check ->
       if Weak_acyclicity.is_weakly_acyclic tgds then (Terminating, "weakly acyclic")
       else (Unknown, "not weakly acyclic")
@@ -146,7 +144,7 @@ let run_procedure ~cancel ~sticky_max_states ~guarded_max_depth ~prune tgds = fu
       if Joint_acyclicity.is_jointly_acyclic tgds then (Terminating, "jointly acyclic")
       else (Unknown, "not jointly acyclic")
   | Mfa_check -> (
-      match Mfa.decide ~cancel tgds with
+      match Mfa.decide tgds with
       | Mfa.Mfa { atoms } ->
           (Terminating, Printf.sprintf "model-faithful acyclic (%d atoms)" atoms)
       | Mfa.Cyclic_term { var; _ } ->
@@ -154,10 +152,7 @@ let run_procedure ~cancel ~sticky_max_states ~guarded_max_depth ~prune tgds = fu
       | Mfa.Budget { atoms } ->
           (Unknown, Printf.sprintf "MFA budget exhausted (%d atoms)" atoms))
   | Sticky_buchi -> (
-      (* Racers run their inner exploration inline: nesting a
-         [map_array] inside a pool task would deadlock the pool (the
-         racer already owns a worker slot). *)
-      match Sticky_decider.decide ~max_states:sticky_max_states ~cancel ~prune tgds with
+      match Sticky_decider.decide ~max_states:sticky_max_states ~prune tgds with
       | Sticky_decider.All_terminating -> (Terminating, "L(A_T) = ∅")
       | Sticky_decider.Non_terminating cert ->
           ( Non_terminating,
@@ -166,7 +161,7 @@ let run_procedure ~cancel ~sticky_max_states ~guarded_max_depth ~prune tgds = fu
               (List.length cert.Sticky_decider.lasso.Chase_automata.Buchi.cycle) )
       | Sticky_decider.Inconclusive m -> (Unknown, m))
   | Guarded_search -> (
-      match Guarded_decider.search_divergence ~max_depth:guarded_max_depth ~cancel tgds with
+      match Guarded_decider.search_divergence ~max_depth:guarded_max_depth tgds with
       | Guarded_decider.Terminating _ -> (Terminating, "acyclicity ladder")  (* unreachable *)
       | Guarded_decider.Non_terminating ev ->
           ( Non_terminating,
@@ -180,57 +175,44 @@ let run_procedure ~cancel ~sticky_max_states ~guarded_max_depth ~prune tgds = fu
   | Portfolio -> (Unknown, "not a procedure")
 
 let decide_portfolio ?(sticky_max_states = 50_000) ?(guarded_max_depth = 200)
-    ?(prune = true) ?(pool = Exec.inline) tgds =
+    ?(prune = true) tgds =
   Obs.span "decider.portfolio" @@ fun () ->
   let classification = Classification.classify tgds in
   let constant_free = Tgd.constant_free_set tgds in
   let procs = portfolio_procedures classification ~constant_free in
-  let cancel = Cancel.create () in
   let run p =
     let started = Obs.now () in
-    if Cancel.cancelled cancel then
-      {
-        procedure = p;
-        outcome = Unknown;
-        conclusive = false;
-        cancelled = true;
-        wall_ms = 0.;
-        note = "cancelled before start";
-      }
-    else begin
-      let outcome, note =
-        try run_procedure ~cancel ~sticky_max_states ~guarded_max_depth ~prune tgds p
-        with e -> (Unknown, "raised: " ^ Printexc.to_string e)
-      in
-      let conclusive = match outcome with Unknown -> false | _ -> true in
-      (* First conclusive answer stops the other racers; conclusive
-         answers never disagree (each racer is sound for this class), so
-         which one physically finishes first cannot change the answer —
-         only the reported winner. *)
-      if conclusive then Cancel.cancel cancel;
-      {
-        procedure = p;
-        outcome;
-        conclusive;
-        cancelled = (not conclusive) && Cancel.cancelled cancel;
-        wall_ms = (Obs.now () -. started) *. 1000.;
-        note;
-      }
-    end
+    let outcome, note =
+      try run_procedure ~sticky_max_states ~guarded_max_depth ~prune tgds p
+      with e -> (Unknown, "raised: " ^ Printexc.to_string e)
+    in
+    {
+      procedure = p;
+      outcome;
+      conclusive = outcome <> Unknown;
+      cancelled = false;
+      wall_ms = (Obs.now () -. started) *. 1000.;
+      note;
+    }
   in
-  (* Parallel pool: racers are claimed one per chunk and genuinely race,
-     polling the shared token.  Inline pool: the racers run in priority
-     order and the token turns into an early exit after the first
-     conclusive answer. *)
-  let results =
-    if Exec.is_parallel pool then
-      Array.to_list (Exec.map_array ~chunk:1 pool run (Array.of_list procs))
-    else List.map run procs
+  let skipped p =
+    {
+      procedure = p;
+      outcome = Unknown;
+      conclusive = false;
+      cancelled = true;
+      wall_ms = 0.;
+      note = "cancelled before start";
+    }
   in
-  (* The winner is folded in the fixed priority order of [procs], not
-     arrival order, so the reported method is deterministic even when
-     the physical race is not. *)
-  let winner = List.find_opt (fun r -> r.conclusive) results in
+  (* Priority order; the first conclusive answer ends the cascade. *)
+  let rec cascade = function
+    | [] -> []
+    | p :: rest ->
+        let r = run p in
+        r :: (if r.conclusive then List.map skipped rest else cascade rest)
+  in
+  let results = cascade procs in
   if Obs.enabled () then
     List.iter
       (fun r ->
@@ -248,20 +230,8 @@ let decide_portfolio ?(sticky_max_states = 50_000) ?(guarded_max_depth = 200)
             ("wall_ms", Obs.Float r.wall_ms);
           ])
       results;
-  match winner with
+  match List.find_opt (fun r -> r.conclusive) results with
   | Some w ->
-      (* Sanity: all conclusive racers must agree (soundness lattice). *)
-      let disagreeing =
-        List.filter (fun r -> r.conclusive && r.outcome <> w.outcome) results
-      in
-      if disagreeing <> [] then
-        Obs.event "portfolio.disagreement"
-          [
-            ("winner", Obs.Str (method_name w.procedure));
-            ( "dissent",
-              Obs.Str (String.concat "," (List.map (fun r -> method_name r.procedure) disagreeing))
-            );
-          ];
       {
         classification;
         answer = w.outcome;

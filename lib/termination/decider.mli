@@ -2,8 +2,8 @@
     TGD set: the sticky Büchi procedure (§6, sound and complete), the
     guarded certificate search (§5, see DESIGN.md), or plain weak
     acyclicity for everything else — plus {!decide_portfolio}, which
-    races every procedure valid for the classified class and takes the
-    first conclusive answer (DESIGN.md §10). *)
+    runs every procedure valid for the classified class in priority
+    order and stops at the first conclusive answer (DESIGN.md §10). *)
 
 open Chase_classes
 
@@ -18,14 +18,16 @@ type method_used =
   | Weak_acyclicity_check  (** baseline sufficient condition *)
   | Joint_acyclicity_check  (** sufficient condition, subsumes WA *)
   | Mfa_check  (** model-faithful acyclicity, subsumes JA *)
-  | Portfolio  (** raced portfolio with no conclusive procedure *)
+  | Portfolio  (** portfolio cascade with no conclusive procedure *)
 
-(** One racer's outcome in a portfolio run. *)
+(** One procedure's outcome in a portfolio run. *)
 type procedure_report = {
   procedure : method_used;
   outcome : answer;
   conclusive : bool;  (** [outcome <> Unknown] *)
-  cancelled : bool;  (** lost the race and was cooperatively stopped *)
+  cancelled : bool;
+      (** never started because an earlier procedure was conclusive
+          (then [wall_ms = 0.]) *)
   wall_ms : float;
   note : string;
 }
@@ -36,7 +38,7 @@ type report = {
   method_used : method_used;
   detail : string;
   procedures : procedure_report list;
-      (** per-racer outcomes and timings; [[]] in fixed dispatch *)
+      (** per-procedure outcomes and timings; [[]] in fixed dispatch *)
 }
 
 (** Stable wire name of a method ("sticky-buchi", "portfolio", …), used
@@ -45,36 +47,26 @@ val method_name : method_used -> string
 
 (** Fixed dispatch: one procedure, chosen by classification. *)
 val decide :
-  ?sticky_max_states:int ->
-  ?guarded_max_depth:int ->
-  ?pool:Chase_exec.Pool.t ->
-  Chase_core.Tgd.t list ->
-  report
+  ?sticky_max_states:int -> ?guarded_max_depth:int -> Chase_core.Tgd.t list -> report
 
-(** Race every procedure valid for the classified class — weak
-    acyclicity, joint acyclicity, MFA, the sticky Büchi procedure, the
-    guarded divergence search — under a shared cancellation token;
-    first conclusive answer wins and the losers are folded into
-    [procedures] with per-procedure wall-clock timings.
+(** A cost-ordered cascade over every procedure valid for the
+    classified class: weak acyclicity, joint acyclicity, MFA (when
+    constant-free), then the class's exact procedure — the sticky Büchi
+    procedure, the guarded divergence search.  Procedures run one after
+    another in this order and the first conclusive answer ends the
+    cascade; it gives the report's answer and method.  [procedures]
+    lists every procedure in order with its wall-clock time; those after
+    the conclusive one never run and are reported [cancelled = true],
+    [wall_ms = 0.].  Each procedure is sound for the class it is entered
+    for, so the first conclusive answer is correct.
 
-    With a parallel [pool] the racers genuinely race across domains
-    (each running its inner searches inline — pool tasks must not
-    resubmit to the pool); with the inline pool they run in a fixed
-    priority order with an early exit.  The winner is always folded in
-    priority order, so the reported answer and method are deterministic
-    either way.  Conclusive answers cannot disagree (every racer is
-    sound for the class it is entered for); a disagreement — a bug in a
-    procedure — is surfaced as a ["portfolio.disagreement"] obs event
-    and resolved in priority order.
-
-    [prune] (default [true]) lets the sticky racer use subsumption
+    [prune] (default [true]) lets the sticky procedure use subsumption
     pruning ({!Chase_automata.Buchi.with_subsumption}); verdicts are
     unaffected (DESIGN.md §10). *)
 val decide_portfolio :
   ?sticky_max_states:int ->
   ?guarded_max_depth:int ->
   ?prune:bool ->
-  ?pool:Chase_exec.Pool.t ->
   Chase_core.Tgd.t list ->
   report
 

@@ -28,7 +28,6 @@
 open Chase_core
 open Chase_engine
 open Chase_classes
-module Exec = Chase_exec.Pool
 
 type termination_proof = Weakly_acyclic | Jointly_acyclic | Model_faithful_acyclic
 
@@ -137,98 +136,61 @@ let obs_proof proof =
       ]
 
 (* The candidate-database divergence sweep on its own — the
-   non-termination half of [decide], also raced directly by the decider
-   portfolio (the acyclicity ladder runs there as separate racers). *)
-let search_divergence ?(max_depth = default_max_depth) ?max_states
-    ?(cancel = Chase_exec.Cancel.none) ?(pool = Exec.inline) tgds =
+   non-termination half of [decide], also run directly by the decider
+   portfolio (the acyclicity ladder runs there as separate procedures).
+   Candidates are searched in order and the first hit wins. *)
+let search_divergence ?(max_depth = default_max_depth) ?max_states tgds =
   require_guarded tgds;
   Obs.span "guarded.search" @@ fun () ->
-  begin
-    let candidates = Array.of_list (candidate_databases tgds) in
-    let n = Array.length candidates in
-    Obs.gauge "guarded.candidates" n;
-    (* Pre-warm the plan cache on this domain so parallel searches never
-       contend on compilation (the cache write path is serialized). *)
-    if Exec.is_parallel pool then List.iter (fun t -> ignore (Plan.of_tgd t)) tgds;
-    let explored = ref 0 in
-    (* Candidates are swept in chunks (one per chunk when inline, so the
-       sequential path is unchanged); within a chunk the searches run
-       across domains and the first hit {e in candidate order} wins, so
-       the verdict and its witnessing database never depend on [pool].
-       Chunks after a hit are not evaluated.  The cancel token is polled
-       between chunks and before each candidate search; a cancelled
-       sweep degrades to [No_divergence_found] with the partial counts
-       (inconclusive either way). *)
-    let chunk = if Exec.is_parallel pool then 2 * Exec.jobs pool else 1 in
-    let rec sweep lo =
-      if lo >= n || Chase_exec.Cancel.cancelled cancel then None
-      else begin
-        let len = min chunk (n - lo) in
-        Obs.count "guarded.candidates.searched" len;
-        let results =
-          Exec.map_array pool
-            (fun db ->
-              if Chase_exec.Cancel.cancelled cancel then None
-              else Derivation_search.divergence_evidence ~max_depth ?max_states tgds db)
-            (Array.sub candidates lo len)
-        in
-        let rec first i =
-          if i >= len then None
-          else
-            match results.(i) with
-            | Some derivation -> Some (candidates.(lo + i), derivation)
-            | None ->
-                incr explored;
-                first (i + 1)
-        in
-        match first 0 with Some hit -> Some hit | None -> sweep (lo + len)
-      end
-    in
-    let search () =
-      match sweep 0 with
-      | None -> No_divergence_found { candidates = n; explored_states = !explored }
-      | Some (database, derivation) ->
-          let acyclic = Join_tree.is_acyclic database in
-              let treeified =
-                if acyclic then None
-                else
-                  match Treeify.treeify ~chase_budget:max_depth tgds database with
-                  | Ok r -> Some r
-                  | Error _ -> None
-              in
-              (* encode the strongest available acyclic witness *)
-              let enc_db, enc_derivation =
-                match treeified with
-                | Some r -> (r.Treeify.dac, r.Treeify.evidence)
-                | None -> (database, derivation)
-              in
-              let abstract_tree =
-                if Join_tree.is_acyclic enc_db then
-                  match Abstract_join_tree.encode tgds ~database:enc_db enc_derivation with
-                  | Ok t -> Some t
-                  | Error _ -> None
-                else None
-              in
-              let chaseable =
-                match abstract_tree with
-                | Some t -> Abstract_join_tree.is_chaseable tgds t = Ok ()
-                | None -> false
-              in
-              if Obs.enabled () then
-                Obs.event "guarded.certificate"
-                  [
-                    ("database_atoms", Obs.Int (Instance.cardinal database));
-                    ("derivation_steps", Obs.Int (Derivation.length derivation));
-                    ("acyclic", Obs.Bool acyclic);
-                    ("chaseable", Obs.Bool chaseable);
-                  ];
-              Non_terminating
-                { database; derivation; acyclic; treeified; abstract_tree; chaseable }
-    in
-    search ()
-  end
+  let candidates = candidate_databases tgds in
+  let n = List.length candidates in
+  Obs.gauge "guarded.candidates" n;
+  let rec sweep explored = function
+    | [] -> No_divergence_found { candidates = n; explored_states = explored }
+    | database :: rest -> (
+        Obs.incr "guarded.candidates.searched";
+        match Derivation_search.divergence_evidence ~max_depth ?max_states tgds database with
+        | None -> sweep (explored + 1) rest
+        | Some derivation ->
+            let acyclic = Join_tree.is_acyclic database in
+            let treeified =
+              if acyclic then None
+              else
+                match Treeify.treeify ~chase_budget:max_depth tgds database with
+                | Ok r -> Some r
+                | Error _ -> None
+            in
+            (* encode the strongest available acyclic witness *)
+            let enc_db, enc_derivation =
+              match treeified with
+              | Some r -> (r.Treeify.dac, r.Treeify.evidence)
+              | None -> (database, derivation)
+            in
+            let abstract_tree =
+              if Join_tree.is_acyclic enc_db then
+                match Abstract_join_tree.encode tgds ~database:enc_db enc_derivation with
+                | Ok t -> Some t
+                | Error _ -> None
+              else None
+            in
+            let chaseable =
+              match abstract_tree with
+              | Some t -> Abstract_join_tree.is_chaseable tgds t = Ok ()
+              | None -> false
+            in
+            if Obs.enabled () then
+              Obs.event "guarded.certificate"
+                [
+                  ("database_atoms", Obs.Int (Instance.cardinal database));
+                  ("derivation_steps", Obs.Int (Derivation.length derivation));
+                  ("acyclic", Obs.Bool acyclic);
+                  ("chaseable", Obs.Bool chaseable);
+                ];
+            Non_terminating { database; derivation; acyclic; treeified; abstract_tree; chaseable })
+  in
+  sweep 0 candidates
 
-let decide ?max_depth ?max_states ?(pool = Exec.inline) tgds =
+let decide ?max_depth ?max_states tgds =
   require_guarded tgds;
   Obs.span "guarded.decide" @@ fun () ->
   if Weak_acyclicity.is_weakly_acyclic tgds then begin
@@ -243,4 +205,4 @@ let decide ?max_depth ?max_states ?(pool = Exec.inline) tgds =
     obs_proof Model_faithful_acyclic;
     Terminating Model_faithful_acyclic
   end
-  else search_divergence ?max_depth ?max_states ~pool tgds
+  else search_divergence ?max_depth ?max_states tgds

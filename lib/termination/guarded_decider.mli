@@ -45,23 +45,13 @@ val candidate_databases : Tgd.t list -> Instance.t list
 val default_max_depth : int
 
 (** The candidate-database divergence sweep on its own — the
-    non-termination half of {!decide}, raced directly by the decider
-    portfolio.  Never returns [Terminating].  [cancel] is polled between
-    chunks and before each candidate search; a cancelled sweep degrades
-    to [No_divergence_found] with the partial counts.
+    non-termination half of {!decide}, run directly by the decider
+    portfolio.  Candidates are searched in {!candidate_databases} order
+    and the first divergence hit wins.  Never returns [Terminating].
     @raise Invalid_argument on unguarded or multi-head TGDs. *)
-val search_divergence :
-  ?max_depth:int ->
-  ?max_states:int ->
-  ?cancel:Chase_exec.Cancel.t ->
-  ?pool:Chase_exec.Pool.t ->
-  Tgd.t list ->
-  verdict
+val search_divergence : ?max_depth:int -> ?max_states:int -> Tgd.t list -> verdict
 
-(** [pool] parallelizes the candidate-database sweep in chunks; the
-    first divergence hit in candidate order wins, so the verdict and the
-    witnessing database are independent of [pool] (chunks past a hit are
-    never evaluated, preserving the early exit).
+(** The acyclicity ladder (weak, joint, model-faithful), then
+    {!search_divergence}.
     @raise Invalid_argument on unguarded or multi-head TGDs. *)
-val decide :
-  ?max_depth:int -> ?max_states:int -> ?pool:Chase_exec.Pool.t -> Tgd.t list -> verdict
+val decide : ?max_depth:int -> ?max_states:int -> Tgd.t list -> verdict

@@ -43,7 +43,7 @@ let skolem_null tgd frontier_hom var =
   in
   Term.Null ("sk" ^ String.sub (Digest.to_hex (Digest.string key)) 0 16)
 
-let decide ?(max_steps = default_max_steps) ?(cancel = Chase_exec.Cancel.none) tgds =
+let decide ?(max_steps = default_max_steps) tgds =
   let history : (Term.t, FnSet.t) Hashtbl.t = Hashtbl.create 64 in
   let history_of t = Option.value ~default:FnSet.empty (Hashtbl.find_opt history t) in
   let cyclic = ref None in
@@ -64,7 +64,6 @@ let decide ?(max_steps = default_max_steps) ?(cancel = Chase_exec.Cancel.none) t
     if !cyclic <> None then (instance, true)
     else if Queue.is_empty queue then (instance, true)
     else if n >= max_steps then (instance, false)
-    else if n land 63 = 0 && Chase_exec.Cancel.cancelled cancel then (instance, false)
     else begin
       let trigger = Queue.pop queue in
       let tgd = Trigger.tgd trigger in

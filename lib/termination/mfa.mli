@@ -14,8 +14,6 @@ type verdict =
 val critical_database : Tgd.t list -> Instance.t
 val default_max_steps : int
 
-(** [cancel] is polled every 64 chase steps; a cancelled run returns
-    [Budget] (inconclusive) with the atoms chased so far. *)
-val decide : ?max_steps:int -> ?cancel:Chase_exec.Cancel.t -> Tgd.t list -> verdict
+val decide : ?max_steps:int -> Tgd.t list -> verdict
 
 val is_mfa : ?max_steps:int -> Tgd.t list -> bool

@@ -71,12 +71,8 @@ type context = {
   marking : Stickiness.t;
   (* [next] is pure per (state, letter) and identical across the
      per-start-pair component automata, so its results are memoized once
-     per context and shared by every component.  The table is
-     mutex-protected because parallel Büchi exploration calls [next]
-     from pool worker domains; values are immutable, so sharing them
-     across domains is safe. *)
+     per context and shared by every component. *)
   memo : (state * letter, state option) Hashtbl.t;
-  memo_lock : Mutex.t;
 }
 
 let tgds ctx = ctx.tgds
@@ -94,7 +90,6 @@ let make_context tgds =
     tgds = Array.of_list tgds;
     marking = Stickiness.marking tgds;
     memo = Hashtbl.create 4096;
-    memo_lock = Mutex.create ();
   }
 
 (* Λ_T. *)
@@ -277,26 +272,19 @@ let next ctx state letter =
 
 (* Memoized transition: one table per context, shared by every
    component automaton (the transition function does not depend on the
-   start pair).  Lookups and inserts are under the context mutex;
-   [next] itself runs outside it, so domains only contend on the table,
-   not on the computation. *)
+   start pair). *)
 let memo_next ctx s l =
   (* states and letters are fully structural (canonical equality types,
      int arrays/lists), so the polymorphic hash is a sound — and much
      cheaper — key than an encoded string *)
   let key = (s, l) in
-  Mutex.lock ctx.memo_lock;
-  let hit = Hashtbl.find_opt ctx.memo key in
-  Mutex.unlock ctx.memo_lock;
-  match hit with
+  match Hashtbl.find_opt ctx.memo key with
   | Some r ->
       Obs.incr "sticky.next.memo_hit";
       r
   | None ->
       let r = next ctx s l in
-      Mutex.lock ctx.memo_lock;
-      if not (Hashtbl.mem ctx.memo key) then Hashtbl.add ctx.memo key r;
-      Mutex.unlock ctx.memo_lock;
+      Hashtbl.add ctx.memo key r;
       r
 
 (* Subsumption order for pruned exploration (DESIGN.md §10): within a

@@ -29,8 +29,7 @@ val state_key : state -> string
 
 type context
 (** TGDs, their sticky marking, and a memo table for the transition
-    function shared across all component automata of the context
-    (mutex-protected; safe with parallel exploration pools). *)
+    function shared across all component automata of the context. *)
 
 val tgds : context -> Tgd.t array
 

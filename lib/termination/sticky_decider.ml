@@ -79,54 +79,43 @@ let unroll ctx ~start_et ~start_class ~(lasso : Sticky_automaton.letter Buchi.la
 
 let default_unroll_turns = 3
 
-let decide_with_stats ?(max_states = 50_000) ?(unroll_turns = default_unroll_turns) ?pool
-    ?(cancel = Chase_exec.Cancel.none) ?(prune = false) tgds =
+let decide_with_stats ?(max_states = 50_000) ?(unroll_turns = default_unroll_turns)
+    ?(prune = false) tgds =
   let ctx = Sticky_automaton.make_context tgds in
   let components = Sticky_automaton.components ctx in
   let explored = ref 0 in
   let budget_hit = ref false in
-  let cancelled = ref false in
   (* Each component's emptiness pass reports its own exploration stats,
      so the explored-state total comes for free — no re-exploration. *)
   let rec search = function
     | [] -> None
     | ((start_et, start_class), automaton) :: rest -> (
-        if Chase_exec.Cancel.cancelled cancel then begin
-          cancelled := true;
-          None
-        end
-        else
-          match Buchi.emptiness_with_stats ~max_states ?pool ~cancel ~prune automaton with
-          | Buchi.Empty, st ->
-              explored := !explored + st.Buchi.states;
-              search rest
-          | Buchi.Budget_exceeded n, _ ->
-              explored := !explored + n;
-              budget_hit := true;
-              search rest
-          | Buchi.Cancelled n, _ ->
-              explored := !explored + n;
-              cancelled := true;
-              None
-          | Buchi.Nonempty lasso, st ->
-              explored := !explored + st.Buchi.states;
-              let prefix = unroll ctx ~start_et ~start_class ~lasso ~turns:unroll_turns in
-              Some { start_et; start_class; lasso; prefix })
+        match Buchi.emptiness_with_stats ~max_states ~prune automaton with
+        | Buchi.Empty, st ->
+            explored := !explored + st.Buchi.states;
+            search rest
+        | Buchi.Budget_exceeded n, _ ->
+            explored := !explored + n;
+            budget_hit := true;
+            search rest
+        | Buchi.Nonempty lasso, st ->
+            explored := !explored + st.Buchi.states;
+            let prefix = unroll ctx ~start_et ~start_class ~lasso ~turns:unroll_turns in
+            Some { start_et; start_class; lasso; prefix })
   in
   let decision =
     match search components with
     | Some cert -> Non_terminating cert
     | None ->
-        if !cancelled then Inconclusive "cancelled"
-        else if !budget_hit then
+        if !budget_hit then
           Inconclusive
             (Printf.sprintf "state budget (%d per component) exceeded" max_states)
         else All_terminating
   in
   { components = List.length components; explored_states = !explored; decision }
 
-let decide ?max_states ?unroll_turns ?pool ?cancel ?prune tgds =
-  (decide_with_stats ?max_states ?unroll_turns ?pool ?cancel ?prune tgds).decision
+let decide ?max_states ?unroll_turns ?prune tgds =
+  (decide_with_stats ?max_states ?unroll_turns ?prune tgds).decision
 
 (* Independent certificate check: the unrolled prefix really is a valid
    (connected) caterpillar prefix for T. *)

@@ -19,42 +19,23 @@ type verdict =
           database is finite *)
   | Non_terminating of certificate
   | Inconclusive of string
-      (** a state budget was exceeded, or the run was cancelled *)
+      (** a state budget was exceeded *)
 
 type stats = { components : int; explored_states : int; decision : verdict }
 
 val default_unroll_turns : int
 
-(** [pool] parallelizes each component's Büchi exploration (see
-    {!Buchi.emptiness_with_stats}); the verdict, certificate and state
-    counts are identical to the sequential run.  [explored_states] comes
-    from the same pass that decided each component (no re-exploration).
-
-    [cancel] is polled between components and inside each emptiness
-    search; a fired token yields [Inconclusive "cancelled"].  [prune]
-    (default [false]) enables subsumption pruning on the component
+(** [explored_states] comes from the same pass that decided each
+    component (no re-exploration).  [prune] (default [false]) enables subsumption pruning on the component
     automata (see {!Buchi.with_subsumption} and DESIGN.md §10); verdicts
     are unchanged, only the explored-state counts shrink. *)
 val decide_with_stats :
-  ?max_states:int ->
-  ?unroll_turns:int ->
-  ?pool:Chase_exec.Pool.t ->
-  ?cancel:Chase_exec.Cancel.t ->
-  ?prune:bool ->
-  Tgd.t list ->
-  stats
+  ?max_states:int -> ?unroll_turns:int -> ?prune:bool -> Tgd.t list -> stats
 
 (** @raise Invalid_argument when the TGDs are not sticky or mention
     constants (rejected up front by {!Sticky_automaton.make_context};
     no crash path remains for constant-bearing inputs). *)
-val decide :
-  ?max_states:int ->
-  ?unroll_turns:int ->
-  ?pool:Chase_exec.Pool.t ->
-  ?cancel:Chase_exec.Cancel.t ->
-  ?prune:bool ->
-  Tgd.t list ->
-  verdict
+val decide : ?max_states:int -> ?unroll_turns:int -> ?prune:bool -> Tgd.t list -> verdict
 
 (** Validate a certificate against the caterpillar definitions. *)
 val check_certificate : Tgd.t list -> certificate -> (unit, string) result

@@ -144,16 +144,6 @@ let unit_tests =
           make ~initial:0 ~alphabet:[ 'a' ] ~next:(fun _ _ -> Some 0) ~accepting:(fun _ -> false)
         in
         Alcotest.(check (option bool)) "small answers" (Some true) (Buchi.is_empty_opt small));
-    Alcotest.test_case "a fired cancel token interrupts exploration" `Quick (fun () ->
-        let cancel = Chase_exec.Cancel.create () in
-        Chase_exec.Cancel.cancel cancel;
-        let a =
-          make ~initial:0 ~alphabet:[ 'a' ] ~next:(fun s _ -> Some (s + 1))
-            ~accepting:(fun _ -> false)
-        in
-        match Buchi.emptiness ~cancel a with
-        | Buchi.Cancelled _ -> ()
-        | _ -> Alcotest.fail "expected cancellation");
     Alcotest.test_case "subsumption pruning shrinks the graph and stays sound" `Quick
       (fun () ->
         (* state (i, j): acceptance depends only on i, so states with the

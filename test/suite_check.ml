@@ -41,10 +41,7 @@ let corpus_tests =
 let fuzz_tests =
   [
     Alcotest.test_case "200 fixed-seed cases across all profiles are clean" `Quick (fun () ->
-        let jobs = Chase_exec.Pool.default_jobs () in
-        let report =
-          Harness.run { Harness.default_config with cases = 200; seed = 42; jobs }
-        in
+        let report = Harness.run { Harness.default_config with cases = 200; seed = 42 } in
         List.iter
           (fun (f : Harness.failure) ->
             Format.eprintf "fuzz failure (%s, seed %d):@.%s@."

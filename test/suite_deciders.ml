@@ -213,7 +213,7 @@ let portfolio_tests =
                 if port.Decider.answer <> a then
                   Alcotest.failf "portfolio disagrees with fixed dispatch on %s"
                     s.Scenarios.name);
-            (* the folded report lists every racer exactly once *)
+            (* the report lists every procedure exactly once *)
             Alcotest.(check bool)
               (Printf.sprintf "%s: portfolio ran at least one procedure" s.Scenarios.name)
               true
@@ -225,17 +225,33 @@ let portfolio_tests =
                   p.Decider.conclusive)
               port.Decider.procedures)
           Scenarios.all);
-    Alcotest.test_case "portfolio cancels losers once a winner is conclusive" `Quick (fun () ->
-        (* weak acyclicity answers instantly here; with a parallel pool the
-           slower racers must still fold into the report, conclusive or
-           cancelled, never raise *)
+    Alcotest.test_case "portfolio cascade stops at the first conclusive procedure" `Quick
+      (fun () ->
+        (* weakly acyclic: the first procedure of the cascade answers, and
+           every later one is reported as never started *)
         let tgds =
           parse "s1: emp(X) -> exists Y. reports(X,Y).\ns2: reports(X,Y) -> mgr(Y)."
         in
-        Chase_exec.Pool.with_pool ~jobs:3 @@ fun pool ->
-        let r = Decider.decide_portfolio ~pool tgds in
+        let r = Decider.decide_portfolio tgds in
         Alcotest.(check bool) "terminating" true (r.Decider.answer = Decider.Terminating);
-        Alcotest.(check bool) "several racers" true (List.length r.Decider.procedures >= 2));
+        Alcotest.(check string) "won by weak acyclicity" "weak-acyclicity"
+          (Decider.method_name r.Decider.method_used);
+        match r.Decider.procedures with
+        | first :: later ->
+            Alcotest.(check string) "WA runs first" "weak-acyclicity"
+              (Decider.method_name first.Decider.procedure);
+            Alcotest.(check bool) "WA is conclusive" true first.Decider.conclusive;
+            Alcotest.(check bool) "WA ran" false first.Decider.cancelled;
+            Alcotest.(check bool) "later procedures exist" true (later <> []);
+            List.iter
+              (fun (p : Decider.procedure_report) ->
+                let name = Decider.method_name p.Decider.procedure in
+                Alcotest.(check bool) (name ^ " cancelled") true p.Decider.cancelled;
+                Alcotest.(check (float 0.)) (name ^ " wall_ms") 0. p.Decider.wall_ms)
+              later;
+            Alcotest.(check int) "exactly one conclusive" 1
+              (List.length (List.filter (fun p -> p.Decider.conclusive) r.Decider.procedures))
+        | [] -> Alcotest.fail "no procedures reported");
   ]
 
 let suite =

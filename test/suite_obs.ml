@@ -21,8 +21,7 @@ let with_fake_clock f =
 
 (* The default clock is wall time, so a span around a sleep — which burns
    no CPU — must report (roughly) the slept duration.  Under the old
-   [Sys.time] default this span measured ~0 s; under a jobs>1 pool it
-   over-reported instead (every domain's CPU accrues to the process). *)
+   [Sys.time] default this span measured ~0 s. *)
 let test_wall_clock_spans () =
   let st = Obs.Stats.create () in
   Obs.with_sink (Obs.Stats.sink st) (fun () -> Obs.span "sleep" (fun () -> Unix.sleepf 0.05));
@@ -433,28 +432,6 @@ let properties =
                    same_derivation plain traced
                    && Obs.Stats.counter st "restricted.steps" = Derivation.length plain)
                  [ `Compiled; `Naive ])
-             strategies));
-    QCheck_alcotest.to_alcotest
-      (Test.make ~name:"tracing is passive under a domain pool" ~count:40
-         (Gen.pair tgds_gen (Gen.int_bound 100_000))
-         (fun (tgds, seed) ->
-           (* A sink installed while jobs>1 must not change the derivation:
-              the coordinator emits only aggregate pool.* signals, worker
-              domains have no sink at all (per-domain DLS). *)
-           let db = random_db tgds seed in
-           let jobs = Chase_exec.Pool.default_jobs ~default:3 () in
-           List.for_all
-             (fun strategy ->
-               let plain = Restricted.run ~strategy ~max_steps:60 tgds db in
-               let st = Obs.Stats.create () in
-               let traced =
-                 Obs.with_sink (Obs.Stats.sink st) (fun () ->
-                     Chase_exec.Pool.with_pool ~jobs (fun pool ->
-                         Restricted.run ~strategy ~max_steps:60 ~pool tgds db))
-               in
-               same_derivation plain traced
-               && Obs.Stats.counter st "restricted.steps" = Derivation.length plain
-               && (jobs = 1 || Obs.Stats.counter st "pool.domains" = jobs - 1))
              strategies));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"trace lines parse as JSON for random workloads" ~count:30

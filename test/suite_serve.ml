@@ -2,7 +2,7 @@
    decoding, the dispatch loop's reply/error contract, session budgets,
    and the core incremental-maintenance property — a warm session's
    re-chase is hom-equivalent to chasing the accumulated facts from
-   scratch (at CHASE_JOBS parallelism, like the engine suites). *)
+   scratch. *)
 
 open Chase_core
 open Chase_engine
@@ -10,9 +10,6 @@ module Json = Chase_serve.Json
 module Protocol = Chase_serve.Protocol
 module Session = Chase_serve.Session
 module Server = Chase_serve.Server
-module Pool = Chase_exec.Pool
-
-let jobs = Pool.default_jobs ~default:3 ()
 
 (* --- helpers ---------------------------------------------------------- *)
 
@@ -321,7 +318,7 @@ let test_decide_op () =
   Alcotest.(check string) "starved budget is unknown" "unknown" (get_str r [ "answer" ]);
   let r = op ~session:"t" srv "decide" in
   Alcotest.(check string) "full budget decides" "non-terminating" (get_str r [ "answer" ]);
-  (* Portfolio mode folds every racer into the reply. *)
+  (* Portfolio mode lists every procedure in the reply. *)
   let r = op ~extra:[ ("portfolio", Json.Bool true) ] srv "decide" in
   check_ok r;
   Alcotest.(check string) "portfolio answer" "terminating" (get_str r [ "answer" ]);
@@ -411,10 +408,8 @@ let incremental_equivalence =
          let db =
            Chase_workload.Db_gen.random ~schema:(Schema.of_tgds tgds) ~atoms:6 ~domain:3 ~seed
          in
-         Pool.with_pool ~jobs @@ fun pool ->
          let scratch =
-           Restricted.run ~strategy:Restricted.Fifo ~max_steps:400 ~naming:`Canonical ~pool tgds
-             db
+           Restricted.run ~strategy:Restricted.Fifo ~max_steps:400 ~naming:`Canonical tgds db
          in
          match Derivation.status scratch with
          | Derivation.Out_of_budget -> true (* nothing to compare against *)
@@ -426,7 +421,7 @@ let incremental_equivalence =
                  (fun i ->
                    let batch = List.filteri (fun j _ -> j mod batches = i) atoms in
                    ignore (Incremental.assert_atoms inc batch);
-                   let o = Incremental.chase ~epool:pool ~max_steps:400 inc in
+                   let o = Incremental.chase ~max_steps:400 inc in
                    o.Incremental.saturated)
                  (List.init batches Fun.id)
              in

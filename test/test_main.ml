@@ -6,5 +6,5 @@ let () =
    @ Suite_deciders.suite @ Suite_extract.suite @ Suite_finitary.suite @ Suite_msol.suite
    @ Suite_query.suite
    @ Suite_structure.suite @ Suite_negative.suite @ Suite_properties.suite
-   @ Suite_compiled.suite @ Suite_parallel_exec.suite @ Suite_obs.suite @ Suite_workload.suite
+   @ Suite_compiled.suite @ Suite_obs.suite @ Suite_workload.suite
    @ Suite_scenarios.suite @ Suite_check.suite @ Suite_serve.suite)
