@@ -9,11 +9,10 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Small-size engine benchmarks (E11, the E14 columnar-vs-compiled A/B
-# at ≈100k facts and the E15 portfolio-vs-fixed decider comparison),
-# writes BENCH_results.json.
+# Small-size engine benchmarks (E11 and the E14 columnar-vs-compiled
+# A/B at ≈100k facts), writes BENCH_results.json.
 bench-smoke:
-	dune exec bench/main.exe -- --json --smoke E11 E14 E15
+	dune exec bench/main.exe -- --json --smoke E11 E14
 
 # Differential fuzzing across the engine matrix (DESIGN.md §8); exits
 # nonzero with a shrunk repro on any cross-engine discrepancy, e.g.

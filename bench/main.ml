@@ -1,5 +1,5 @@
 (* The benchmark harness: regenerates every experiment of EXPERIMENTS.md
-   (E1–E11, E14, E15; E12 is retired, see EXPERIMENTS.md).  The paper is a theory paper with no measured tables; these
+   (E1–E11, E14; E12 and E15 are retired, see EXPERIMENTS.md).  The paper is a theory paper with no measured tables; these
    experiments check its qualitative claims and measure the implemented
    systems.  Run with
 
@@ -834,93 +834,10 @@ let e14 () =
       ];
     ]
 
-(* ------------------------------------------------------------------ *)
-(* E15: the portfolio front-end vs fixed dispatch across the gallery:  *)
-(* which procedure wins per dispatch class, and what the cascade costs *)
-(* (or saves) in wall time.  The procedures run in priority order and  *)
-(* the first conclusive answer ends the cascade, so the winners are    *)
-(* deterministic and comparable across hosts.                          *)
-(* ------------------------------------------------------------------ *)
-
-let e15 () =
-  let module D = Chase_termination.Decider in
-  let answer = function
-    | D.Terminating -> "terminating"
-    | D.Non_terminating -> "non-terminating"
-    | D.Unknown -> "unknown"
-  in
-  let cases =
-    List.map
-      (fun (s : Chase_workload.Scenarios.t) ->
-        (s.Chase_workload.Scenarios.name, Chase_workload.Scenarios.tgds s))
-      Chase_workload.Scenarios.all
-  in
-  let wins = Hashtbl.create 8 in
-  let rows =
-    List.map
-      (fun (name, tgds) ->
-        let fixed = D.decide tgds in
-        let port = D.decide_portfolio tgds in
-        assert (
-          fixed.D.answer = D.Unknown || port.D.answer = fixed.D.answer);
-        let fixed_ns = measure_ns (name ^ "/fixed") (fun () -> D.decide tgds) in
-        let port_ns = measure_ns (name ^ "/portfolio") (fun () -> D.decide_portfolio tgds) in
-        let fixed_m = D.method_name fixed.D.method_used in
-        let winner = D.method_name port.D.method_used in
-        let key = (fixed_m, winner) in
-        Hashtbl.replace wins key (1 + Option.value ~default:0 (Hashtbl.find_opt wins key));
-        record "E15"
-          [
-            ("scenario", Str name);
-            ("tgds", Int (List.length tgds));
-            ("fixed_method", Str fixed_m);
-            ("fixed_answer", Str (answer fixed.D.answer));
-            ("portfolio_winner", Str winner);
-            ("portfolio_answer", Str (answer port.D.answer));
-            ("procedures", Int (List.length port.D.procedures));
-            ("fixed_ns", Num fixed_ns);
-            ("portfolio_ns", Num port_ns);
-          ];
-        [
-          name;
-          fixed_m;
-          answer fixed.D.answer;
-          pretty_ns fixed_ns;
-          winner;
-          pretty_ns port_ns;
-          Printf.sprintf "%.2fx" (port_ns /. fixed_ns);
-          string_of_int (List.length port.D.procedures);
-        ])
-      cases
-  in
-  table ~title:"E15a  portfolio cascade vs fixed dispatch across the gallery"
-    ~header:
-      [ "scenario"; "fixed method"; "answer"; "fixed time"; "winner"; "portfolio time";
-        "port/fixed"; "procedures" ]
-    rows;
-  (* win rates per dispatch class: how often the cascade's winner differs
-     from the statically chosen procedure *)
-  let rows =
-    Hashtbl.fold (fun k n acc -> (k, n) :: acc) wins []
-    |> List.sort compare
-    |> List.map (fun ((fixed_m, winner), n) ->
-           record "E15"
-             [
-               ("fixed_method", Str fixed_m);
-               ("portfolio_winner", Str winner);
-               ("wins", Int n);
-             ];
-           [ fixed_m; winner; string_of_int n ])
-  in
-  table ~title:"E15b  win counts: fixed dispatch class vs cascade winner"
-    ~header:[ "fixed method"; "portfolio winner"; "wins" ]
-    rows
-
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
     ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E14", e14);
-    ("E15", e15);
   ]
 
 (* Each experiment runs under a stats sink so BENCH_results.json carries

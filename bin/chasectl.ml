@@ -186,67 +186,35 @@ let chase_cmd =
 (* --- decide ---------------------------------------------------------- *)
 
 let decide_cmd =
-  let run file portfolio max_states max_depth json stats trace_json =
+  let run file max_states max_depth json stats trace_json =
     let p = or_die (load file) in
     let open Chase_termination.Decider in
     let report =
       with_obs ~stats ~trace_json @@ fun () ->
-      let tgds = Chase_parser.Program.tgds p in
-      if portfolio then
-        decide_portfolio ?sticky_max_states:max_states ?guarded_max_depth:max_depth tgds
-      else decide ?sticky_max_states:max_states ?guarded_max_depth:max_depth tgds
-    in
-    let answer_str = function
-      | Terminating -> "terminating"
-      | Non_terminating -> "non-terminating"
-      | Unknown -> "unknown"
+      decide ?sticky_max_states:max_states ?guarded_max_depth:max_depth
+        (Chase_parser.Program.tgds p)
     in
     if json then begin
       let module J = Chase_serve.Json in
-      let procedures =
-        if report.procedures = [] then []
-        else
-          [
-            ( "procedures",
-              J.Arr
-                (List.map
-                   (fun pr ->
-                     J.Obj
-                       [
-                         ("name", J.Str (method_name pr.procedure));
-                         ("outcome", J.Str (answer_str pr.outcome));
-                         ("conclusive", J.Bool pr.conclusive);
-                         ("cancelled", J.Bool pr.cancelled);
-                         ("wall_ms", J.Float pr.wall_ms);
-                         ("note", J.Str pr.note);
-                       ])
-                   report.procedures) );
-          ]
-      in
       print_endline
         (J.to_string
            (J.Obj
-              ([
-                 ("answer", J.Str (answer_str report.answer));
-                 ("method", J.Str (method_name report.method_used));
-                 ("detail", J.Str report.detail);
-               ]
-              @ procedures)))
+              [
+                ( "answer",
+                  J.Str
+                    (match report.answer with
+                    | Terminating -> "terminating"
+                    | Non_terminating -> "non-terminating"
+                    | Unknown -> "unknown") );
+                ("method", J.Str (method_name report.method_used));
+                ("detail", J.Str report.detail);
+              ]))
     end
     else Format.printf "%a@." pp report;
     match report.answer with
     | Terminating -> exit 0
     | Non_terminating -> exit 1
     | Unknown -> exit 3
-  in
-  let portfolio_arg =
-    Arg.(
-      value & flag
-      & info [ "portfolio" ]
-          ~doc:
-            "Run every procedure valid for the classified class in priority order (weak/joint \
-             acyclicity, MFA, sticky B\xC3\xBCchi, guarded search); the first conclusive \
-             answer wins.")
   in
   let max_states_arg =
     Arg.(
@@ -271,8 +239,8 @@ let decide_cmd =
          "Decide all-instances restricted chase termination (exit 0 = terminating, 1 = \
           non-terminating, 3 = unknown).")
     Term.(
-      const run $ file_arg $ portfolio_arg $ max_states_arg $ max_depth_arg $ json_arg
-      $ stats_arg $ trace_json_arg)
+      const run $ file_arg $ max_states_arg $ max_depth_arg $ json_arg $ stats_arg
+      $ trace_json_arg)
 
 (* --- query ----------------------------------------------------------- *)
 
@@ -441,7 +409,7 @@ let msol_cmd =
 (* --- fuzz ------------------------------------------------------------ *)
 
 let fuzz_cmd =
-  let run cases seed profiles backends portfolio no_shrink corpus_dir json stats trace_json =
+  let run cases seed profiles backends no_shrink corpus_dir json stats trace_json =
     let profiles =
       match profiles with
       | [] -> Chase_check.Profile.all
@@ -459,7 +427,6 @@ let fuzz_cmd =
         shrink = not no_shrink;
         corpus_dir;
         backends;
-        portfolio;
       }
     in
     let report =
@@ -510,14 +477,6 @@ let fuzz_cmd =
   let no_shrink_arg =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report raw failing cases without delta-debugging.")
   in
-  let portfolio_arg =
-    Arg.(
-      value & flag
-      & info [ "portfolio" ]
-          ~doc:
-            "Add the portfolio-vs-fixed decider cross-exam and the subsumption-pruning \
-             cross-check to every case.")
-  in
   let corpus_arg =
     Arg.(
       value & opt (some string) None
@@ -533,8 +492,8 @@ let fuzz_cmd =
           cross-engine invariants; failures are delta-debugged to minimal repros (exit 1 on \
           any discrepancy).")
     Term.(
-      const run $ cases_arg $ seed_arg $ profile_arg $ fuzz_backend_arg $ portfolio_arg
-      $ no_shrink_arg $ corpus_arg $ json_arg $ stats_arg $ trace_json_arg)
+      const run $ cases_arg $ seed_arg $ profile_arg $ fuzz_backend_arg $ no_shrink_arg
+      $ corpus_arg $ json_arg $ stats_arg $ trace_json_arg)
 
 (* --- serve ----------------------------------------------------------- *)
 

@@ -11,7 +11,6 @@ type config = {
   shrink : bool;
   corpus_dir : string option;
   backends : Chase_engine.Store.backend list;
-  portfolio : bool;  (* add the portfolio/pruning decider cross-exams *)
 }
 
 let default_config =
@@ -22,7 +21,6 @@ let default_config =
     shrink = true;
     corpus_dir = None;
     backends = Oracle.all_store_backends;
-    portfolio = false;
   }
 
 type failure = {
@@ -63,7 +61,7 @@ let run_case ~config ~index profile =
           written = None;
         }
   | case -> (
-      match Oracle.check ~backends:config.backends ~portfolio:config.portfolio case.Gen.tgds case.Gen.database with
+      match Oracle.check ~backends:config.backends case.Gen.tgds case.Gen.database with
       | [] -> None
       | discrepancies ->
           Obs.count "check.discrepancies" (List.length discrepancies);
@@ -76,7 +74,7 @@ let run_case ~config ~index profile =
             else
               Shrink.minimize
                 ~fails:(fun ts db ->
-                  match Oracle.check ~backends:config.backends ~portfolio:config.portfolio ts db with
+                  match Oracle.check ~backends:config.backends ts db with
                   | ds -> List.exists (fun d -> List.mem d.Oracle.invariant invariants) ds
                   | exception _ -> false)
                 case.Gen.tgds case.Gen.database
@@ -141,8 +139,6 @@ let json r =
                ^ esc (Chase_engine.Restricted.backend_name (b :> Chase_engine.Restricted.backend))
                ^ "\"")
              r.config.backends)));
-  Buffer.add_string buf
-    (Printf.sprintf "\"portfolio\": %b, " r.config.portfolio);
   Buffer.add_string buf
     (Printf.sprintf "\"discrepancies\": %d, \"failures\": ["
        (List.fold_left (fun acc f -> acc + List.length f.discrepancies) 0 r.failures));

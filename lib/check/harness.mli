@@ -17,9 +17,6 @@ type config = {
   backends : Chase_engine.Store.backend list;
       (** store backends the oracle compares against the naive
           reference (default: all — compiled and columnar) *)
-  portfolio : bool;
-      (** add the portfolio-vs-fixed decider cross-exam and the
-          subsumption-pruning cross-check (default: [false]) *)
 }
 
 val default_config : config

@@ -259,109 +259,99 @@ let check_incremental ~budgets ~backends tgds db =
           model @ equiv)
       (List.concat_map (fun b -> [ (2, b); (3, b) ]) backends)
 
-let check_decider ~budgets ?(portfolio = false) tgds db =
+let check_decider ~budgets tgds db =
   match Chase_termination.Decider.decide tgds with
   | exception e -> fail "decider-crash" "Decider.decide raised %s" (Printexc.to_string e)
   | report ->
-      let open Chase_termination.Decider in
-      let wa = report.classification.Chase_classes.Classification.weakly_acyclic in
-      (* A [Terminating] answer is ∀∀: no database — in particular not
-         this one — may admit divergence evidence.  The depth budget
-         sits far beyond the observed terminated lengths, so a hit is a
-         genuine contradiction candidate, not noise.  Applied to the
-         fixed report and, in portfolio mode, to the portfolio's too. *)
-      let exams mode r =
-        let contradiction =
-          match (wa, r.answer) with
-          | true, Non_terminating ->
-              fail "decider-wa" "weakly acyclic set judged Non_terminating via %s (%s)"
-                (method_name r.method_used) mode
-          | _ -> []
-        in
-        match r.answer with
-        | Terminating when List.length tgds <= 4 && Instance.cardinal db <= 10 ->
-            guarded "derivation-search" (fun () ->
-                match
-                  Chase_termination.Derivation_search.divergence_evidence
-                    ~max_depth:budgets.search_depth ~max_states:budgets.search_states tgds db
-                with
-                | Some d ->
-                    fail "decider-termination"
-                      "decider (%s) says Terminating but a valid derivation exceeds depth %d \
-                       (%d steps)"
-                      mode budgets.search_depth (Derivation.length d)
-                | None -> [])
-            @ contradiction
-        | _ -> contradiction
-      in
+      let open Chase_termination in
+      let open Decider in
+      let c = report.classification in
       let answer_name = function
         | Terminating -> "terminating"
         | Non_terminating -> "non-terminating"
         | Unknown -> "unknown"
       in
-      let portfolio_exam =
-        if not portfolio then []
-        else
-          guarded "decider-portfolio" @@ fun () ->
-          match decide_portfolio ~prune:true tgds with
-          | exception e ->
-              fail "decider-crash" "Decider.decide_portfolio raised %s" (Printexc.to_string e)
-          | p ->
-              (* The portfolio runs a superset of the fixed dispatch's
-                 procedures under the same budgets, so a conclusive
-                 fixed answer must survive: same answer, or a conclusive
-                 portfolio answer where the fixed one was Unknown. *)
-              let agreement =
-                match (report.answer, p.answer) with
-                | Terminating, Non_terminating | Non_terminating, Terminating ->
-                    fail "decider-portfolio" "fixed %s (%s) vs portfolio %s (%s) disagree"
-                      (answer_name report.answer)
-                      (method_name report.method_used)
-                      (answer_name p.answer) (method_name p.method_used)
-                | (Terminating | Non_terminating), Unknown ->
-                    fail "decider-portfolio"
-                      "fixed dispatch conclusive (%s via %s) but the portfolio is inconclusive"
-                      (answer_name report.answer)
-                      (method_name report.method_used)
-                | _ -> []
-              in
-              agreement @ exams "portfolio" p
+      let wa_exam =
+        match (c.Chase_classes.Classification.weakly_acyclic, report.answer) with
+        | true, Non_terminating ->
+            fail "decider-wa" "weakly acyclic set judged Non_terminating via %s"
+              (method_name report.method_used)
+        | _ -> []
       in
-      (* Subsumption pruning must never change the sticky verdict
-         (DESIGN.md §10); compare the conclusive categories directly on
-         sets the sticky procedure covers. *)
-      let prune_exam =
-        if not portfolio then []
-        else
-          let c = report.classification in
-          if
-            Tgd.constant_free_set tgds
-            && c.Chase_classes.Classification.single_head
-            && c.Chase_classes.Classification.sticky
-          then
-            guarded "sticky-prune" @@ fun () ->
-            let verdict_name = function
-              | Chase_termination.Sticky_decider.All_terminating -> "all-terminating"
-              | Chase_termination.Sticky_decider.Non_terminating _ -> "non-terminating"
-              | Chase_termination.Sticky_decider.Inconclusive _ -> "inconclusive"
-            in
-            let exact = Chase_termination.Sticky_decider.decide tgds in
-            let pruned = Chase_termination.Sticky_decider.decide ~prune:true tgds in
-            if String.equal (verdict_name exact) (verdict_name pruned) then []
-            else
-              fail "sticky-prune" "subsumption pruning changed the sticky verdict: %s vs %s"
-                (verdict_name exact) (verdict_name pruned)
-          else []
+      (* A [Terminating] answer is ∀∀: no database — in particular not
+         this one — may admit divergence evidence.  The depth budget
+         sits far beyond the observed terminated lengths, so a hit is a
+         genuine contradiction candidate, not noise. *)
+      let termination_exam =
+        match report.answer with
+        | Terminating when List.length tgds <= 4 && Instance.cardinal db <= 10 ->
+            guarded "derivation-search" (fun () ->
+                match
+                  Derivation_search.divergence_evidence ~max_depth:budgets.search_depth
+                    ~max_states:budgets.search_states tgds db
+                with
+                | Some d ->
+                    fail "decider-termination"
+                      "decider says Terminating but a valid derivation exceeds depth %d (%d \
+                       steps)"
+                      budgets.search_depth (Derivation.length d)
+                | None -> [])
+        | _ -> []
       in
-      exams "fixed" report @ portfolio_exam @ prune_exam
+      (* The class's exact procedure, run directly under the decider's
+         default budgets: [decide] must never contradict it, and must be
+         conclusive whenever it is (its cascade runs that procedure, or
+         a sound sufficient condition before it). *)
+      let exact_exam procedure exact =
+        match (report.answer, exact) with
+        | Terminating, Non_terminating | Non_terminating, Terminating ->
+            fail "decider-exact" "decide says %s via %s but the %s says %s"
+              (answer_name report.answer)
+              (method_name report.method_used)
+              procedure (answer_name exact)
+        | Unknown, (Terminating | Non_terminating) ->
+            fail "decider-exact" "decide is inconclusive (%s) but the %s says %s"
+              report.detail procedure (answer_name exact)
+        | _ -> []
+      in
+      let exact_class =
+        Tgd.constant_free_set tgds && c.Chase_classes.Classification.single_head
+      in
+      let class_exams =
+        if exact_class && c.Chase_classes.Classification.sticky then
+          guarded "sticky procedure" @@ fun () ->
+          let sticky_answer = function
+            | Sticky_decider.All_terminating -> Terminating
+            | Sticky_decider.Non_terminating _ -> Non_terminating
+            | Sticky_decider.Inconclusive _ -> Unknown
+          in
+          let exact = sticky_answer (Sticky_decider.decide tgds) in
+          let pruned = sticky_answer (Sticky_decider.decide ~prune:true tgds) in
+          (* Subsumption pruning must never change the sticky verdict
+             (DESIGN.md §10); [decide] runs unpruned, so this is where
+             pruning is checked. *)
+          (if exact = pruned then []
+           else
+             fail "sticky-prune" "subsumption pruning changed the sticky verdict: %s vs %s"
+               (answer_name exact) (answer_name pruned))
+          @ exact_exam "sticky Büchi procedure" exact
+        else if exact_class && c.Chase_classes.Classification.guarded then
+          guarded "guarded procedure" @@ fun () ->
+          exact_exam "guarded procedure"
+            (match Guarded_decider.decide tgds with
+            | Guarded_decider.Terminating _ -> Terminating
+            | Guarded_decider.Non_terminating _ -> Non_terminating
+            | Guarded_decider.No_divergence_found _ -> Unknown)
+        else []
+      in
+      termination_exam @ wa_exam @ class_exams
 
 let all_store_backends : Store.backend list = [ `Compiled; `Columnar ]
 
-let check ?(budgets = default_budgets) ?(backends = all_store_backends) ?(portfolio = false)
-    tgds db =
+let check ?(budgets = default_budgets) ?(backends = all_store_backends) tgds db =
   check_restricted ~budgets ~backends tgds db
   @ check_oblivious ~budgets ~backends tgds db
   @ check_universality ~budgets tgds db
   @ check_ochase ~budgets tgds db
   @ check_incremental ~budgets ~backends tgds db
-  @ check_decider ~budgets ~portfolio tgds db
+  @ check_decider ~budgets tgds db

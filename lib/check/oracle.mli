@@ -30,21 +30,19 @@
       on a model of the accumulated facts that is hom-equivalent to
       the from-scratch chase (both are universal models of the same
       database) — replayed over both store backends.
-    - [decider-crash] — [Decider.decide] (and, in portfolio mode,
-      [Decider.decide_portfolio]) must not raise.
-    - [decider-wa] — weak acyclicity refutes a [Non_terminating] answer
-      (fixed and portfolio reports alike).
+    - [decider-crash] — [Decider.decide] must not raise.
+    - [decider-wa] — weak acyclicity refutes a [Non_terminating] answer.
     - [decider-termination] — a [Terminating] answer contradicted by
       divergence evidence from the exhaustive derivation search (only
       attempted on small cases, with a depth budget well beyond the
-      observed derivation lengths; fixed and portfolio reports alike).
-    - [decider-portfolio] — ([portfolio] mode) the portfolio cascade must
-      agree with the fixed dispatch: never the opposite conclusive
-      answer, and never inconclusive where the fixed dispatch — whose
-      procedures the portfolio supersets under the same budgets — was
-      conclusive.
-    - [sticky-prune] — ([portfolio] mode) subsumption pruning must not
-      change the sticky verdict (DESIGN.md §10).
+      observed derivation lengths).
+    - [decider-exact] — on constant-free single-head sticky or guarded
+      sets, [Decider.decide] never contradicts the class's exact
+      procedure ([Sticky_decider.decide], [Guarded_decider.decide]) run
+      directly under the same budgets, and is conclusive whenever that
+      procedure is.
+    - [sticky-prune] — on the same sticky sets, subsumption pruning
+      must not change the sticky verdict (DESIGN.md §10).
     - [engine-crash] — any engine raising an exception. *)
 
 open Chase_core
@@ -68,13 +66,10 @@ val all_store_backends : Chase_engine.Store.backend list
 
 (** Run the full matrix.  [backends] (default: {!all_store_backends})
     selects the store backends compared against the naive reference —
-    restricted, oblivious and incremental sections all honour it.
-    [portfolio] (default: [false]) adds the portfolio-vs-fixed decider
-    cross-exam and the subsumption-pruning cross-check. *)
+    restricted, oblivious and incremental sections all honour it. *)
 val check :
   ?budgets:budgets ->
   ?backends:Chase_engine.Store.backend list ->
-  ?portfolio:bool ->
   Tgd.t list ->
   Instance.t ->
   discrepancy list

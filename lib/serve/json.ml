@@ -268,14 +268,16 @@ let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
 let to_str_opt = function Some (Str s) -> Some s | _ -> None
 
+(* [int_of_float] is unspecified outside the [int] range (1e30 gave 0),
+   so integral floats convert only within [min_int, max_int]. *)
 let to_int_opt = function
   | Some (Int i) -> Some i
-  | Some (Float f) when Float.is_integer f -> Some (int_of_float f)
+  | Some (Float f)
+    when Float.is_integer f && f >= Float.of_int min_int && f < -.Float.of_int min_int ->
+      Some (int_of_float f)
   | _ -> None
 
 let to_float_opt = function
   | Some (Float f) -> Some f
   | Some (Int i) -> Some (float_of_int i)
   | _ -> None
-
-let to_bool_opt = function Some (Bool b) -> Some b | _ -> None

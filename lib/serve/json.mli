@@ -27,6 +27,8 @@ val to_string : t -> string
 val member : string -> t -> t option
 
 val to_str_opt : t option -> string option
+
+(** An [Int], or an integral [Float] within the [int] range. *)
 val to_int_opt : t option -> int option
+
 val to_float_opt : t option -> float option
-val to_bool_opt : t option -> bool option

@@ -26,7 +26,6 @@ type t =
   | Classify of { session : string }
   | Decide of {
       session : string;
-      portfolio : bool;  (* cascade over all valid procedures instead of fixed dispatch *)
       max_states : int option;  (* sticky Büchi state budget, per component *)
       max_depth : int option;  (* guarded divergence-search depth budget *)
     }
@@ -92,6 +91,25 @@ type 'a decoded = Ok of 'a | Fail of error_code * string
 
 let default_session = "default"
 
+(* A budget field is absent ([None]) or a non-negative number of its
+   kind; anything else present under its name is an [invalid-request]
+   naming the field, never silently ignored. *)
+let int_budget json k =
+  match Json.member k json with
+  | None -> Stdlib.Ok None
+  | v -> (
+      match Json.to_int_opt v with
+      | Some n when n >= 0 -> Stdlib.Ok (Some n)
+      | _ -> Stdlib.Error (Printf.sprintf "field %S must be a non-negative integer" k))
+
+let float_budget json k =
+  match Json.member k json with
+  | None -> Stdlib.Ok None
+  | v -> (
+      match Json.to_float_opt v with
+      | Some f when f >= 0. && Float.is_finite f -> Stdlib.Ok (Some f)
+      | _ -> Stdlib.Error (Printf.sprintf "field %S must be a non-negative number" k))
+
 let of_json json =
   match json with
   | Json.Obj _ -> (
@@ -102,17 +120,17 @@ let of_json json =
         | Some v -> of_req v
         | None -> Fail (Invalid_request, Printf.sprintf "missing required string field %S" k)
       in
+      let ( let* ) r f =
+        match r with Stdlib.Ok v -> f v | Stdlib.Error msg -> Fail (Invalid_request, msg)
+      in
       match str "op" with
       | None -> Fail (Invalid_request, "missing required string field \"op\"")
       | Some "load-program" ->
           required "program" (fun program ->
-              let budgets =
-                {
-                  max_steps = Json.to_int_opt (Json.member "max_steps" json);
-                  max_facts = Json.to_int_opt (Json.member "max_facts" json);
-                  max_wall_ms = Json.to_float_opt (Json.member "max_wall_ms" json);
-                }
-              in
+              let* max_steps = int_budget json "max_steps" in
+              let* max_facts = int_budget json "max_facts" in
+              let* max_wall_ms = float_budget json "max_wall_ms" in
+              let budgets = { max_steps; max_facts; max_wall_ms } in
               match str "backend" with
               | None -> Ok (Load_program { session; program; budgets; backend = None })
               | Some b -> (
@@ -124,19 +142,14 @@ let of_json json =
       | Some "assert" -> required "facts" (fun facts -> Ok (Assert_facts { session; facts }))
       | Some "retract" -> required "facts" (fun facts -> Ok (Retract { session; facts }))
       | Some "chase" ->
-          Ok (Chase { session; max_steps = Json.to_int_opt (Json.member "max_steps" json) })
+          let* max_steps = int_budget json "max_steps" in
+          Ok (Chase { session; max_steps })
       | Some "query" -> required "query" (fun query -> Ok (Query { session; query }))
       | Some "classify" -> Ok (Classify { session })
       | Some "decide" ->
-          Ok
-            (Decide
-               {
-                 session;
-                 portfolio =
-                   Option.value ~default:false (Json.to_bool_opt (Json.member "portfolio" json));
-                 max_states = Json.to_int_opt (Json.member "max_states" json);
-                 max_depth = Json.to_int_opt (Json.member "max_depth" json);
-               })
+          let* max_states = int_budget json "max_states" in
+          let* max_depth = int_budget json "max_depth" in
+          Ok (Decide { session; max_states; max_depth })
       | Some "stats" -> Ok (Stats { session })
       | Some "close" -> Ok (Close { session })
       | Some op ->

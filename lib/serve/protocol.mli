@@ -30,10 +30,6 @@ type t =
   | Classify of { session : string }
   | Decide of {
       session : string;
-      portfolio : bool;
-          (** run the portfolio cascade over all procedures valid for
-              the class instead of the fixed dispatch (optional
-              ["portfolio"] field) *)
       max_states : int option;
           (** sticky Büchi state budget per component (["max_states"]);
               [None] inherits the decider default *)
@@ -69,7 +65,11 @@ type 'a decoded = Ok of 'a | Fail of error_code * string
 (** The session name used when a request omits the field. *)
 val default_session : string
 
-(** Decode one parsed request line. *)
+(** Decode one parsed request line.  A budget field ([max_steps],
+    [max_facts], [max_wall_ms], [max_states], [max_depth]) that is
+    present but not a non-negative number of its kind — an integer, or
+    any finite number for [max_wall_ms] — is an [Invalid_request] naming
+    the field. *)
 val of_json : Json.t -> t decoded
 
 (** The request's [id] field, echoed verbatim into replies. *)

@@ -4,10 +4,11 @@
    or a hostile program must never kill the server.
 
    Admission control: the number of live sessions is capped ([busy]
-   reply beyond it), every chase call runs under the session's
-   step/fact/wall budgets ([budget-exhausted] status or reply), and the
-   decider runs with its own bounded state budgets — so no single
-   session can starve the others. *)
+   reply beyond it) and every chase call runs under the session's
+   step/fact/wall budgets ([budget-exhausted] status or reply).  The
+   decider runs under state and depth budgets too, but a client may
+   raise those without limit in the request, so a [decide] call can
+   still hold the server for as long as its procedures take. *)
 
 open Chase_core
 module P = Protocol
@@ -218,48 +219,27 @@ let handle_classify t ~session =
     ("jointly_acyclic", Json.Bool r.jointly_acyclic);
   ]
 
-let handle_decide t ~session ~portfolio ~max_states ~max_depth =
+let handle_decide t ~session ~max_states ~max_depth =
   let s = find_session t session in
   let open Chase_termination.Decider in
   let report =
     Session.with_obs s (fun () ->
-        let tgds = Chase_engine.Incremental.tgds (Session.incremental s) in
         (* Budget overruns surface as Unknown answers (the deciders
            return Inconclusive / No_divergence_found), never as
            exceptions escaping the session. *)
-        if portfolio then
-          decide_portfolio ?sticky_max_states:max_states ?guarded_max_depth:max_depth tgds
-        else decide ?sticky_max_states:max_states ?guarded_max_depth:max_depth tgds)
-  in
-  let answer_str = function
-    | Terminating -> "terminating"
-    | Non_terminating -> "non-terminating"
-    | Unknown -> "unknown"
+        decide ?sticky_max_states:max_states ?guarded_max_depth:max_depth
+          (Chase_engine.Incremental.tgds (Session.incremental s)))
   in
   [
-    ("answer", Json.Str (answer_str report.answer));
+    ( "answer",
+      Json.Str
+        (match report.answer with
+        | Terminating -> "terminating"
+        | Non_terminating -> "non-terminating"
+        | Unknown -> "unknown") );
     ("method", Json.Str (method_name report.method_used));
     ("detail", Json.Str report.detail);
   ]
-  @
-  if report.procedures = [] then []
-  else
-    [
-      ( "procedures",
-        Json.Arr
-          (List.map
-             (fun p ->
-               Json.Obj
-                 [
-                   ("name", Json.Str (method_name p.procedure));
-                   ("outcome", Json.Str (answer_str p.outcome));
-                   ("conclusive", Json.Bool p.conclusive);
-                   ("cancelled", Json.Bool p.cancelled);
-                   ("wall_ms", Json.Float p.wall_ms);
-                   ("note", Json.Str p.note);
-                 ])
-             report.procedures) );
-    ]
 
 let handle_stats t ~session =
   let s = find_session t session in
@@ -320,8 +300,7 @@ let handle t req =
   | P.Chase { session; max_steps } -> handle_chase t ~session ~max_steps
   | P.Query { session; query } -> handle_query t ~session ~query
   | P.Classify { session } -> handle_classify t ~session
-  | P.Decide { session; portfolio; max_states; max_depth } ->
-      handle_decide t ~session ~portfolio ~max_states ~max_depth
+  | P.Decide { session; max_states; max_depth } -> handle_decide t ~session ~max_states ~max_depth
   | P.Stats { session } -> handle_stats t ~session
   | P.Close { session } -> handle_close t ~session
 

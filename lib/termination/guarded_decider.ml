@@ -136,8 +136,8 @@ let obs_proof proof =
       ]
 
 (* The candidate-database divergence sweep on its own — the
-   non-termination half of [decide], also run directly by the decider
-   portfolio (the acyclicity ladder runs there as separate procedures).
+   non-termination half of [decide], also run directly by
+   [Decider.decide] (which takes the acyclicity ladder from elsewhere).
    Candidates are searched in order and the first hit wins. *)
 let search_divergence ?(max_depth = default_max_depth) ?max_states tgds =
   require_guarded tgds;

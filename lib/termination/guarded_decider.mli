@@ -45,8 +45,9 @@ val candidate_databases : Tgd.t list -> Instance.t list
 val default_max_depth : int
 
 (** The candidate-database divergence sweep on its own — the
-    non-termination half of {!decide}, run directly by the decider
-    portfolio.  Candidates are searched in {!candidate_databases} order
+    non-termination half of {!decide}, run directly by
+    {!Decider.decide}, which reads the acyclicity ladder off the
+    classification instead.  Candidates are searched in {!candidate_databases} order
     and the first divergence hit wins.  Never returns [Terminating].
     @raise Invalid_argument on unguarded or multi-head TGDs. *)
 val search_divergence : ?max_depth:int -> ?max_states:int -> Tgd.t list -> verdict

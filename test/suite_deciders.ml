@@ -165,9 +165,44 @@ let oblivious_tests =
         | _ -> Alcotest.fail "expected divergence elsewhere");
   ]
 
-(* --- portfolio front-end and subsumption pruning ---------------------- *)
+(* --- the decider cascade and subsumption pruning ----------------------- *)
 
-let portfolio_tests =
+(* [decide] against the exact procedure of the set's class, run
+   directly: never the opposite answer, and conclusive whenever the
+   exact procedure is. *)
+let check_against_exact name tgds =
+  let answer_name = function
+    | Decider.Terminating -> "terminating"
+    | Decider.Non_terminating -> "non-terminating"
+    | Decider.Unknown -> "unknown"
+  in
+  let r = Decider.decide tgds in
+  let c = r.Decider.classification in
+  let exact_class = Chase_core.Tgd.constant_free_set tgds && c.Chase_classes.Classification.single_head in
+  let exact =
+    if exact_class && c.Chase_classes.Classification.sticky then
+      Some
+        (match Sticky_decider.decide tgds with
+        | Sticky_decider.All_terminating -> Decider.Terminating
+        | Sticky_decider.Non_terminating _ -> Decider.Non_terminating
+        | Sticky_decider.Inconclusive _ -> Decider.Unknown)
+    else if exact_class && c.Chase_classes.Classification.guarded then
+      Some
+        (match Guarded_decider.decide tgds with
+        | Guarded_decider.Terminating _ -> Decider.Terminating
+        | Guarded_decider.Non_terminating _ -> Decider.Non_terminating
+        | Guarded_decider.No_divergence_found _ -> Decider.Unknown)
+    else None
+  in
+  match exact with
+  | Some e when e <> Decider.Unknown && e <> r.Decider.answer ->
+      Alcotest.failf "%s: decide says %s via %s, the exact procedure %s" name
+        (answer_name r.Decider.answer)
+        (Decider.method_name r.Decider.method_used)
+        (answer_name e)
+  | _ -> r
+
+let cascade_tests =
   [
     Alcotest.test_case "decide_with_stats explores each component exactly once" `Quick
       (fun () ->
@@ -201,62 +236,44 @@ let portfolio_tests =
               | Sticky_decider.Inconclusive _, Sticky_decider.Inconclusive _ -> ()
               | _ -> Alcotest.failf "pruning changed the verdict on %s" s.Scenarios.name)
           Scenarios.all);
-    Alcotest.test_case "portfolio agrees with fixed dispatch on the gallery" `Quick (fun () ->
+    Alcotest.test_case "decide agrees with each class's exact procedure" `Quick (fun () ->
         List.iter
           (fun (s : Scenarios.t) ->
-            let tgds = Scenarios.tgds s in
-            let fixed = Decider.decide tgds in
-            let port = Decider.decide_portfolio tgds in
-            (match fixed.Decider.answer with
-            | Decider.Unknown -> ()
-            | a ->
-                if port.Decider.answer <> a then
-                  Alcotest.failf "portfolio disagrees with fixed dispatch on %s"
-                    s.Scenarios.name);
-            (* the report lists every procedure exactly once *)
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: portfolio ran at least one procedure" s.Scenarios.name)
-              true
-              (List.length port.Decider.procedures >= 1);
-            List.iter
-              (fun (p : Decider.procedure_report) ->
-                Alcotest.(check bool) "conclusive iff not Unknown"
-                  (p.Decider.outcome <> Decider.Unknown)
-                  p.Decider.conclusive)
-              port.Decider.procedures)
-          Scenarios.all);
-    Alcotest.test_case "portfolio cascade stops at the first conclusive procedure" `Quick
-      (fun () ->
-        (* weakly acyclic: the first procedure of the cascade answers, and
-           every later one is reported as never started *)
-        let tgds =
-          parse "s1: emp(X) -> exists Y. reports(X,Y).\ns2: reports(X,Y) -> mgr(Y)."
-        in
-        let r = Decider.decide_portfolio tgds in
+            let r = check_against_exact s.Scenarios.name (Scenarios.tgds s) in
+            let truth =
+              match s.Scenarios.truth with
+              | Scenarios.All_terminating -> Decider.Terminating
+              | Scenarios.Diverging -> Decider.Non_terminating
+            in
+            if r.Decider.answer <> Decider.Unknown && r.Decider.answer <> truth then
+              Alcotest.failf "decide contradicts the gallery truth on %s" s.Scenarios.name)
+          Scenarios.all;
+        for seed = 0 to 59 do
+          let cfg = { Tgd_gen.default with Tgd_gen.seed } in
+          ignore (check_against_exact (Printf.sprintf "sticky %d" seed) (Tgd_gen.sticky_set cfg));
+          ignore (check_against_exact (Printf.sprintf "guarded %d" seed) (Tgd_gen.guarded_set cfg));
+          let r = check_against_exact (Printf.sprintf "wa %d" seed) (Tgd_gen.weakly_acyclic_set cfg) in
+          Alcotest.(check string)
+            (Printf.sprintf "wa %d: decided by weak acyclicity" seed)
+            "weak-acyclicity"
+            (Decider.method_name r.Decider.method_used)
+        done);
+    Alcotest.test_case "a weakly acyclic sticky set is decided without exploring the automaton"
+      `Quick (fun () ->
+        let tgds = parse "r(X,Y) -> exists Z. r(X,Z)." in
+        let st = Obs.Stats.create () in
+        let r = Obs.with_sink (Obs.Stats.sink st) (fun () -> Decider.decide tgds) in
+        Alcotest.(check bool) "sticky" true
+          r.Decider.classification.Chase_classes.Classification.sticky;
         Alcotest.(check bool) "terminating" true (r.Decider.answer = Decider.Terminating);
-        Alcotest.(check string) "won by weak acyclicity" "weak-acyclicity"
+        Alcotest.(check string) "method" "weak-acyclicity"
           (Decider.method_name r.Decider.method_used);
-        match r.Decider.procedures with
-        | first :: later ->
-            Alcotest.(check string) "WA runs first" "weak-acyclicity"
-              (Decider.method_name first.Decider.procedure);
-            Alcotest.(check bool) "WA is conclusive" true first.Decider.conclusive;
-            Alcotest.(check bool) "WA ran" false first.Decider.cancelled;
-            Alcotest.(check bool) "later procedures exist" true (later <> []);
-            List.iter
-              (fun (p : Decider.procedure_report) ->
-                let name = Decider.method_name p.Decider.procedure in
-                Alcotest.(check bool) (name ^ " cancelled") true p.Decider.cancelled;
-                Alcotest.(check (float 0.)) (name ^ " wall_ms") 0. p.Decider.wall_ms)
-              later;
-            Alcotest.(check int) "exactly one conclusive" 1
-              (List.length (List.filter (fun p -> p.Decider.conclusive) r.Decider.procedures))
-        | [] -> Alcotest.fail "no procedures reported");
+        Alcotest.(check int) "buchi.states" 0 (Obs.Stats.counter st "buchi.states"));
   ]
 
 let suite =
   [
     ("linear-decider", linear_tests @ [ cross_validation_property; sticky_terminating_soundness ]);
     ("oblivious-decider", oblivious_tests);
-    ("portfolio", portfolio_tests);
+    ("decider-cascade", cascade_tests);
   ]

@@ -301,13 +301,13 @@ let test_query_contract () =
 let test_decide_op () =
   let srv = server () in
   check_ok (load srv "r(X,Y) -> exists Z. r(X,Z). r(a,b).");
-  (* Fixed dispatch: a conclusive sticky answer, no procedures field. *)
+  (* A sticky set that is weakly acyclic: the cascade's first step
+     answers, and the reply carries no procedures field. *)
   let r = op srv "decide" in
   check_ok r;
   Alcotest.(check string) "answer" "terminating" (get_str r [ "answer" ]);
-  Alcotest.(check string) "method" "sticky-buchi" (get_str r [ "method" ]);
-  Alcotest.(check bool) "no procedures in fixed mode" true
-    (Json.member "procedures" r = None);
+  Alcotest.(check string) "method" "weak-acyclicity" (get_str r [ "method" ]);
+  Alcotest.(check bool) "no procedures field" true (Json.member "procedures" r = None);
   (* A starved state budget degrades to an Unknown answer — never a
      protocol error or an exception escaping the session.  The shifted
      rule needs more than one Büchi state per component, so a budget of
@@ -318,20 +318,78 @@ let test_decide_op () =
   Alcotest.(check string) "starved budget is unknown" "unknown" (get_str r [ "answer" ]);
   let r = op ~session:"t" srv "decide" in
   Alcotest.(check string) "full budget decides" "non-terminating" (get_str r [ "answer" ]);
-  (* Portfolio mode lists every procedure in the reply. *)
-  let r = op ~extra:[ ("portfolio", Json.Bool true) ] srv "decide" in
-  check_ok r;
-  Alcotest.(check string) "portfolio answer" "terminating" (get_str r [ "answer" ]);
-  (match get r [ "procedures" ] with
-  | Json.Arr (_ :: _ as procs) ->
-      List.iter
-        (fun p ->
-          ignore (get_str p [ "name" ]);
-          ignore (get_str p [ "outcome" ]);
-          ignore (get_bool p [ "conclusive" ]))
-        procs
-  | v -> Alcotest.failf "expected a non-empty procedures array, got %s" (Json.to_string v));
   check_error "unknown-session" (op ~session:"nope" srv "decide")
+
+(* --- budget fields ---------------------------------------------------- *)
+
+(* A budget field that is present but not a non-negative number of its
+   kind is an invalid-request naming the field, on every op that reads
+   one; the session is left as it was. *)
+let check_bad_budgets srv bad =
+  check_ok (load srv tc_program);
+  List.iter
+    (fun (name, field, value) ->
+      let extra =
+        (field, value)
+        :: (if name = "load-program" then [ ("program", Json.Str tc_program) ] else [])
+      in
+      let r = op ~extra srv name in
+      check_error "invalid-request" r;
+      let msg = get_str r [ "error"; "msg" ] in
+      let quoted = Printf.sprintf "%S" field in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s=%s: message %S names the field" name field (Json.to_string value) msg)
+        true
+        (let n = String.length quoted in
+         let rec at i = i + n <= String.length msg && (String.sub msg i n = quoted || at (i + 1)) in
+         at 0))
+    bad;
+  let r = op srv "chase" in
+  check_ok r;
+  Alcotest.(check string) "session still chases" "terminated" (get_str r [ "status" ])
+
+let test_budget_out_of_range () =
+  Alcotest.(check (option int)) "1e30 is not an int" None (Json.to_int_opt (Some (Json.Float 1e30)));
+  check_bad_budgets (server ())
+    [
+      ("load-program", "max_steps", Json.Float 1e30);
+      ("load-program", "max_facts", Json.Float (-1e30));
+      ("chase", "max_steps", Json.Float 1e30);
+      ("decide", "max_states", Json.Float 1e19);
+      ("decide", "max_depth", Json.Float 1e30);
+    ]
+
+let test_budget_wrong_type () =
+  check_bad_budgets (server ())
+    [
+      ("load-program", "max_steps", Json.Str "10");
+      ("load-program", "max_facts", Json.Bool true);
+      ("load-program", "max_wall_ms", Json.Str "5");
+      ("chase", "max_steps", Json.Null);
+      ("decide", "max_states", Json.Arr [ Json.Int 1 ]);
+      ("decide", "max_depth", Json.Str "3");
+    ]
+
+let test_budget_fractional () =
+  check_bad_budgets (server ())
+    [
+      ("load-program", "max_steps", Json.Float 2.5);
+      ("load-program", "max_facts", Json.Float 0.5);
+      ("chase", "max_steps", Json.Float 10.25);
+      ("decide", "max_states", Json.Float 1.5);
+      ("decide", "max_depth", Json.Float 2.5);
+    ]
+
+let test_budget_negative () =
+  check_bad_budgets (server ())
+    [
+      ("load-program", "max_steps", Json.Int (-1));
+      ("load-program", "max_facts", Json.Int (-5));
+      ("load-program", "max_wall_ms", Json.Float (-0.5));
+      ("chase", "max_steps", Json.Int (-10));
+      ("decide", "max_states", Json.Int (-1));
+      ("decide", "max_depth", Json.Int (-3));
+    ]
 
 let test_id_echo () =
   let srv = server () in
@@ -447,7 +505,12 @@ let suite =
         Alcotest.test_case "retract falls back to full re-chase" `Quick test_retract_full_rechase;
         Alcotest.test_case "malformed input never kills the server" `Quick test_malformed_input;
         Alcotest.test_case "query needs saturation, filters nulls" `Quick test_query_contract;
-        Alcotest.test_case "decide: fixed, starved budget, portfolio" `Quick test_decide_op;
+        Alcotest.test_case "decide: fixed, starved budget" `Quick test_decide_op;
+        Alcotest.test_case "budget beyond the int range is rejected" `Quick
+          test_budget_out_of_range;
+        Alcotest.test_case "budget of the wrong type is rejected" `Quick test_budget_wrong_type;
+        Alcotest.test_case "fractional integer budget is rejected" `Quick test_budget_fractional;
+        Alcotest.test_case "negative budget is rejected" `Quick test_budget_negative;
         Alcotest.test_case "request ids echo into replies" `Quick test_id_echo;
         Alcotest.test_case "stale-socket unlink refuses non-sockets" `Quick
           test_stale_socket_guard;
